@@ -311,8 +311,9 @@ func BenchmarkInvoke(b *testing.B) {
 
 // BenchmarkInvokeRef is the same loop on the retained reference
 // interpreter (Options.Reference) — the before/after pair for the
-// quickening pass, and the denominator bench.sh uses for the
-// quickened-vs-reference speedup.
+// quickening pass, and the denominator of the quickened-vs-reference
+// speedup recorded in BENCH_PR7.json. End-to-end interpreter numbers
+// come from cmd/benchrun (the protect and table3 workloads).
 func BenchmarkInvokeRef(b *testing.B) {
 	app, pkg, _ := benchApp(b)
 	v, err := vm.New(pkg, android.EmulatorLab(1)[0], vm.Options{Seed: 1, Reference: true})

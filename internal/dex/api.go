@@ -145,6 +145,17 @@ func (a API) Cost() int64 {
 	return 10
 }
 
+// CostOnly reports whether a call's only effect is its Cost: it
+// returns nil and reads or writes no runtime state, so an interpreter
+// with nothing watching calls may charge the cost and skip dispatch.
+func (a API) CostOnly() bool {
+	switch a {
+	case APIUIDraw, APIPlaySound, APIVibrate:
+		return true
+	}
+	return false
+}
+
 // APIByName resolves a reflection name to its API id, returning
 // APIInvalid when unknown. This is the dispatch used by
 // APIReflectCall.

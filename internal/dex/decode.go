@@ -73,10 +73,8 @@ func (d *decoder) value() (Value, error) {
 	case KindNil:
 	case KindInt, KindHandle:
 		v.Int, err = d.varint()
-	case KindStr:
+	case KindStr, KindBytes:
 		v.Str, err = d.string()
-	case KindBytes:
-		v.Bytes, err = d.bytes()
 	case KindArr:
 		var n int
 		n, err = d.count("array")

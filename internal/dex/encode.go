@@ -54,10 +54,8 @@ func (e *encoder) value(v Value) {
 	switch v.Kind {
 	case KindInt, KindHandle:
 		e.varint(v.Int)
-	case KindStr:
+	case KindStr, KindBytes:
 		e.string(v.Str)
-	case KindBytes:
-		e.bytes(v.Bytes)
 	case KindArr:
 		if v.Arr == nil {
 			e.uvarint(0)

@@ -102,6 +102,17 @@ func TestAPINames(t *testing.T) {
 	}
 }
 
+// TestAPICostOnly pins the calls the interpreter may reduce to a clock
+// charge: the three cost-bearing UI/media calls and nothing else.
+func TestAPICostOnly(t *testing.T) {
+	want := map[API]bool{APIUIDraw: true, APIPlaySound: true, APIVibrate: true}
+	for a := APIInvalid; a <= apiMax+1; a++ {
+		if a.CostOnly() != want[a] {
+			t.Errorf("%s.CostOnly() = %v, want %v", a.Name(), a.CostOnly(), want[a])
+		}
+	}
+}
+
 func TestGetPublicKeyNameMatchesPaper(t *testing.T) {
 	// The text-search attack greps for this exact token (paper §2.1).
 	if APIGetPublicKey.Name() != "getPublicKey" {

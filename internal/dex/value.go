@@ -36,13 +36,15 @@ func (k ValueKind) String() string {
 }
 
 // Value is the dynamically typed slot stored in registers, static
-// fields, and arrays. The zero Value is nil.
+// fields, and arrays. The zero Value is nil. A KindBytes blob lives in
+// Str (immutable, like every blob the decoder produces): with no
+// separate slice field a Value is 40 bytes, so a (Value, error) result
+// still comes back in registers and a register copy moves five words.
 type Value struct {
-	Kind  ValueKind
-	Int   int64
-	Str   string
-	Bytes []byte
-	Arr   *[]Value
+	Kind ValueKind
+	Int  int64
+	Str  string
+	Arr  *[]Value
 }
 
 // Nil returns the nil value.
@@ -63,7 +65,7 @@ func Bool(b bool) Value {
 func Str(s string) Value { return Value{Kind: KindStr, Str: s} }
 
 // Bytes wraps a byte blob.
-func Bytes(b []byte) Value { return Value{Kind: KindBytes, Bytes: b} }
+func Bytes(b []byte) Value { return Value{Kind: KindBytes, Str: string(b)} }
 
 // NewArr allocates an array value of the given length.
 func NewArr(n int) Value {
@@ -85,10 +87,8 @@ func (v Value) Truthy() bool {
 		return false
 	case KindInt, KindHandle:
 		return v.Int != 0
-	case KindStr:
+	case KindStr, KindBytes:
 		return v.Str != ""
-	case KindBytes:
-		return len(v.Bytes) != 0
 	case KindArr:
 		return v.Arr != nil && len(*v.Arr) != 0
 	}
@@ -106,10 +106,8 @@ func (v Value) Equal(o Value) bool {
 		return true
 	case KindInt, KindHandle:
 		return v.Int == o.Int
-	case KindStr:
+	case KindStr, KindBytes:
 		return v.Str == o.Str
-	case KindBytes:
-		return string(v.Bytes) == string(o.Bytes)
 	case KindArr:
 		return v.Arr == o.Arr
 	}
@@ -127,7 +125,7 @@ func (v Value) Repr() []byte {
 	case KindStr:
 		return append([]byte("s:"), v.Str...)
 	case KindBytes:
-		return append([]byte("b:"), v.Bytes...)
+		return append([]byte("b:"), v.Str...)
 	case KindHandle:
 		return []byte("h:" + strconv.FormatInt(v.Int, 10))
 	default:
@@ -145,7 +143,7 @@ func (v Value) String() string {
 	case KindStr:
 		return strconv.Quote(v.Str)
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.Bytes))
+		return fmt.Sprintf("bytes[%d]", len(v.Str))
 	case KindArr:
 		if v.Arr == nil {
 			return "arr(nil)"

@@ -3,6 +3,7 @@ package dex
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructors(t *testing.T) {
@@ -110,5 +111,61 @@ func TestKindString(t *testing.T) {
 	}
 	if ValueKind(99).String() != "kind(99)" {
 		t.Error("unknown kind rendering wrong")
+	}
+}
+
+// TestValueSize pins the 40-byte layout. The interpreter returns
+// (Value, error) from every frame and API call; at 40 bytes that pair
+// fits the register ABI (7 of 9 integer result registers) instead of
+// going through memory, and every register copy moves five words.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 40", n)
+	}
+}
+
+// TestBytesValue pins a blob's observable behaviour: it round-trips
+// through the codec, and Equal/Truthy/Repr/String read the same as
+// when blobs had a slice field of their own.
+func TestBytesValue(t *testing.T) {
+	blob := Bytes([]byte{0, 1, 0xfe, 'x'})
+	f := NewFile()
+	if err := f.AddClass(&Class{Name: "C", Fields: []Field{
+		{Name: "blob", Init: blob},
+		{Name: "empty", Init: Bytes(nil)},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(Encode(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := got.Classes[0].Fields[0].Init; g.Kind != KindBytes || !g.Equal(blob) {
+		t.Fatalf("decoded blob = %v %q, want %v", g.Kind, g.Str, blob)
+	}
+	if g := got.Classes[0].Fields[1].Init; g.Kind != KindBytes || g.Truthy() {
+		t.Fatalf("decoded empty blob = %v (truthy %v)", g, g.Truthy())
+	}
+
+	if !blob.Truthy() || Bytes(nil).Truthy() || Bytes([]byte{}).Truthy() {
+		t.Error("blob truthiness wrong")
+	}
+	if !Bytes(nil).Equal(Bytes([]byte{})) {
+		t.Error("nil and empty blobs must be equal")
+	}
+	if blob.Equal(Str(blob.Str)) || Str(blob.Str).Equal(blob) {
+		t.Error("a blob must not equal the string with the same bytes")
+	}
+	if blob.Equal(Bytes([]byte{0, 1, 0xfe, 'y'})) {
+		t.Error("different blobs compared equal")
+	}
+	if r := string(blob.Repr()); r != "b:\x00\x01\xfex" {
+		t.Errorf("Repr = %q", r)
+	}
+	if s := blob.String(); s != "bytes[4]" {
+		t.Errorf("String = %q, want bytes[4]", s)
+	}
+	if s := Bytes(nil).String(); s != "bytes[0]" {
+		t.Errorf("empty String = %q, want bytes[0]", s)
 	}
 }

@@ -262,10 +262,7 @@ func Run(v *vm.VM, fz Fuzzer, domain int64, opts Options) Result {
 			res.AbnormalExits++
 		}
 	}
-	seen := make(map[string]map[string]bool, len(opts.WatchFields))
-	for _, f := range opts.WatchFields {
-		seen[f] = map[string]bool{}
-	}
+	seen := newWatchSet(opts.WatchFields)
 	start := v.NowMillis()
 	for {
 		if opts.MaxEvents > 0 && res.Events >= opts.MaxEvents {
@@ -298,15 +295,7 @@ func Run(v *vm.VM, fz Fuzzer, domain int64, opts Options) Result {
 		if abnormal {
 			res.AbnormalExits++
 		}
-		novelty := 0
-		for _, f := range opts.WatchFields {
-			key := v.Static(f).String()
-			if !seen[f][key] {
-				seen[f][key] = true
-				novelty++
-			}
-		}
-		fz.Observe(ev, novelty, abnormal)
+		fz.Observe(ev, seen.observe(v, opts.WatchFields), abnormal)
 		res.Events++
 		if err := v.AdvanceIdle(opts.EventGapMs); err != nil {
 			res.AbnormalExits++
@@ -331,10 +320,7 @@ func Run(v *vm.VM, fz Fuzzer, domain int64, opts Options) Result {
 // inputs BombDroid's candidate selection and artificial-QC
 // construction need.
 func Profile(v *vm.VM, domain int64, events int, watch []string, seed int64) (map[string]int64, map[string][]dex.Value) {
-	vals := make(map[string]map[string]dex.Value, len(watch))
-	for _, f := range watch {
-		vals[f] = map[string]dex.Value{}
-	}
+	vals := newWatchSet(watch)
 	ctx := &Context{Handlers: v.Handlers(), Domain: domain, Rng: rand.New(rand.NewSource(seed))}
 	fz := NewDynodroid()
 	for _, init := range v.InitMethods() {
@@ -343,34 +329,92 @@ func Profile(v *vm.VM, domain int64, events int, watch []string, seed int64) (ma
 	for i := 0; i < events && len(ctx.Handlers) > 0; i++ {
 		ev := fz.Next(ctx)
 		v.Invoke(ev.Handler, dex.Int64(ev.A), dex.Int64(ev.B))
-		novelty := 0
-		for _, f := range watch {
-			val := v.Static(f)
-			key := val.String()
-			if _, ok := vals[f][key]; !ok {
-				vals[f][key] = val
-				novelty++
-			}
-		}
-		fz.Observe(ev, novelty, false)
+		fz.Observe(ev, vals.observe(v, watch), false)
 		v.AdvanceIdle(40)
 	}
-	// Flatten each field's value set in sorted-key order: map
-	// iteration order would otherwise leak into the slice, and the
-	// protector's artificial-QC constant selection reads these slices —
-	// protected output must not vary from process to process.
-	fieldVals := make(map[string][]dex.Value, len(vals))
-	for f, m := range vals {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		vs := make([]dex.Value, 0, len(keys))
-		for _, k := range keys {
-			vs = append(vs, m[k])
-		}
-		fieldVals[f] = vs
+	return v.Profile(), vals.values()
+}
+
+// watchSet records the distinct values each watched field has taken:
+// the novelty signal Dynodroid steers by and the value sets Profile
+// returns. Each distinct value keeps the first instance seen.
+type watchSet map[string]map[valueKey]dex.Value
+
+func newWatchSet(fields []string) watchSet {
+	w := make(watchSet, len(fields))
+	for _, f := range fields {
+		w[f] = map[valueKey]dex.Value{}
 	}
-	return v.Profile(), fieldVals
+	return w
+}
+
+// observe reads the watched fields and returns how many hold a value
+// never seen before. A field listed twice shares one set, so a new
+// value counts once.
+func (w watchSet) observe(v *vm.VM, fields []string) int {
+	novelty := 0
+	for _, f := range fields {
+		val := v.Static(f)
+		key := keyOf(val)
+		if _, ok := w[f][key]; !ok {
+			w[f][key] = val
+			novelty++
+		}
+	}
+	return novelty
+}
+
+// values flattens each field's set, ordered by the values' String
+// forms: map iteration order would otherwise leak into the slice, and
+// the protector's artificial-QC constant selection reads these slices —
+// protected output must not vary from process to process.
+func (w watchSet) values() map[string][]dex.Value {
+	out := make(map[string][]dex.Value, len(w))
+	for f, m := range w {
+		type entry struct {
+			s string
+			v dex.Value
+		}
+		es := make([]entry, 0, len(m))
+		for _, val := range m {
+			es = append(es, entry{val.String(), val})
+		}
+		sort.Slice(es, func(i, j int) bool { return es[i].s < es[j].s })
+		vs := make([]dex.Value, len(es))
+		for i, e := range es {
+			vs[i] = e.v
+		}
+		out[f] = vs
+	}
+	return out
+}
+
+// valueKey identifies a watched value for novelty: two values share a
+// key exactly when their String forms are equal, without formatting
+// one per event. Blobs and arrays render by length only ("bytes[3]",
+// "arr[3]"), so they key by length; a nil array ("arr(nil)") keys
+// apart from every length, and all unknown kinds render as "?".
+type valueKey struct {
+	kind dex.ValueKind
+	i    int64
+	s    string
+}
+
+func keyOf(v dex.Value) valueKey {
+	switch v.Kind {
+	case dex.KindNil:
+		return valueKey{kind: v.Kind}
+	case dex.KindInt, dex.KindHandle:
+		return valueKey{kind: v.Kind, i: v.Int}
+	case dex.KindStr:
+		return valueKey{kind: v.Kind, s: v.Str}
+	case dex.KindBytes:
+		return valueKey{kind: v.Kind, i: int64(len(v.Str))}
+	case dex.KindArr:
+		if v.Arr == nil {
+			return valueKey{kind: v.Kind, i: -1}
+		}
+		return valueKey{kind: v.Kind, i: int64(len(*v.Arr))}
+	}
+	return valueKey{kind: 255}
 }

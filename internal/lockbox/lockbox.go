@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"bombdroid/internal/dex"
 )
@@ -69,6 +70,17 @@ var ErrWrongKey = errors.New("lockbox: payload failed to authenticate (wrong key
 // fails closed.
 var ErrTruncated = errors.New("lockbox: sealed payload truncated")
 
+// deflaters pools Seal's compressors. A BestCompression flate.Writer
+// carries ~800 KB of state; Reset makes a pooled one equivalent to a
+// fresh writer, so sealed output does not depend on reuse.
+var deflaters = sync.Pool{New: func() any {
+	zw, err := flate.NewWriter(nil, flate.BestCompression)
+	if err != nil {
+		panic(err) // only for an invalid level
+	}
+	return zw
+}}
+
 // Seal encrypts plain under key (16 bytes). The plaintext is
 // DEFLATE-compressed first (payload bytecode is highly compressible;
 // the paper's §8.4 size budget depends on it), then sealed as
@@ -78,14 +90,14 @@ var ErrTruncated = errors.New("lockbox: sealed payload truncated")
 // are reproducible.
 func Seal(plain, key []byte) ([]byte, error) {
 	var zbuf bytes.Buffer
-	zw, err := flate.NewWriter(&zbuf, flate.BestCompression)
+	zw := deflaters.Get().(*flate.Writer)
+	zw.Reset(&zbuf)
+	_, err := zw.Write(plain)
+	if err == nil {
+		err = zw.Close()
+	}
+	deflaters.Put(zw)
 	if err != nil {
-		return nil, fmt.Errorf("lockbox: %w", err)
-	}
-	if _, err := zw.Write(plain); err != nil {
-		return nil, fmt.Errorf("lockbox: %w", err)
-	}
-	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("lockbox: %w", err)
 	}
 	plain = zbuf.Bytes()

@@ -1,7 +1,15 @@
 package lockbox
 
 import (
+	"bytes"
+	"compress/flate"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +224,83 @@ func TestEmptyPayload(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Error("empty payload round trip failed")
+	}
+}
+
+// sealFresh is the sealed format built from first principles with a
+// freshly allocated compressor — the oracle for Seal's pooled one.
+func sealFresh(t *testing.T, plain, key []byte) []byte {
+	var zbuf bytes.Buffer
+	zw, err := flate.NewWriter(&zbuf, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(plain)
+	zw.Close()
+	z := zbuf.Bytes()
+	sum := sha256.Sum256(z)
+	nonceSrc := sha256.New()
+	fmt.Fprintf(nonceSrc, "nonce|%s", key)
+	nonceSrc.Write(sum[:])
+	nonce := nonceSrc.Sum(nil)[:aes.BlockSize]
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(append([]byte(nil), sum[:tagLen]...), z...)
+	cipher.NewCTR(block, nonce).XORKeyStream(body, body)
+	return append(nonce, body...)
+}
+
+// TestSealPooledMatchesFresh seals payloads from 8 goroutines at once
+// (so pooled compressors are handed between goroutines and reused
+// across payloads of every size) and requires each sealed blob to be
+// byte-identical to one made with a fresh compressor.
+func TestSealPooledMatchesFresh(t *testing.T) {
+	const workers, perWorker = 8, 100
+	rng := rand.New(rand.NewSource(5))
+	type job struct{ plain, key, want []byte }
+	jobs := make([][]job, workers)
+	for w := range jobs {
+		for i := 0; i < perWorker; i++ {
+			n := rng.Intn(2048)
+			if i%25 == 0 {
+				n = 33_000 + rng.Intn(8_000) // past the 32 KB window
+			}
+			plain := make([]byte, n)
+			if i%2 == 0 {
+				rng.Read(plain) // incompressible
+			} else {
+				for j := range plain {
+					plain[j] = "bombdroid payload "[rng.Intn(18)]
+				}
+			}
+			key := DeriveKey(dex.Int64(int64(w*perWorker+i)), "pool")
+			jobs[w] = append(jobs[w], job{plain, key, sealFresh(t, plain, key)})
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := range jobs {
+		wg.Add(1)
+		go func(js []job) {
+			defer wg.Done()
+			for i, j := range js {
+				got, err := Seal(j.plain, j.key)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, j.want) {
+					errs <- fmt.Errorf("payload %d (%d bytes): pooled seal differs from fresh", i, len(j.plain))
+					return
+				}
+			}
+		}(jobs[w])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

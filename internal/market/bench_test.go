@@ -94,18 +94,17 @@ func benchIngestHTTP(b *testing.B, traced bool) {
 func BenchmarkMarketIngestHTTP(b *testing.B) { benchIngestHTTP(b, false) }
 
 // BenchmarkMarketIngestHTTPTraced is the same workload with every
-// batch traced; scripts/bench.sh derives trace_overhead_pct from the
-// events/sec delta against the untraced run (acceptance: ≤ 3%), and
-// its client-observed p99 is BENCH_PR8.json's e2e_p99_ms — the
-// generation→durable-ack distribution a traced producer sees.
+// batch traced. Its events/sec delta against the untraced run is the
+// trace overhead (acceptance: ≤ 3%; recorded in BENCH_PR8.json), and
+// its client-observed p99 is the generation→durable-ack distribution a
+// traced producer sees. cmd/benchrun measures ingest end to end.
 func BenchmarkMarketIngestHTTPTraced(b *testing.B) { benchIngestHTTP(b, true) }
 
 // BenchmarkTimeToVerdict measures the verdict-timeline read path: a
 // single app with reports spread over event time, b.N k-way-merge
 // rebuilds of its timeline. The reported ttv_ms metric is the app's
 // time_to_verdict_ms (3rd distinct reporter at 250ms spacing → 500),
-// which scripts/bench.sh surfaces so the value is pinned by a bench
-// run, not hand-entered.
+// so the value is pinned by a bench run, not hand-entered.
 func BenchmarkTimeToVerdict(b *testing.B) {
 	st, _, err := Open(Config{Dir: b.TempDir(), Shards: 4, QueueCap: 1 << 16, DedupWindow: 1 << 20})
 	if err != nil {
@@ -188,10 +187,11 @@ func seedStore(b *testing.B, dir string, n, ckptEvery int) {
 }
 
 // benchRestart times Open against a pre-seeded store of restartEvents
-// records and reports milliseconds per restart — the number
-// scripts/bench.sh compares across the full-replay and checkpointed
-// variants (BENCH_PR6.json: restart_replay_full_ms vs
-// restart_replay_checkpoint_ms).
+// records and reports milliseconds per restart, compared across the
+// full-replay and checkpointed variants (BENCH_PR6.json:
+// restart_replay_full_ms vs restart_replay_checkpoint_ms).
+// cmd/benchrun's ingest_relay workload measures restarts end to end
+// (restart.* per-layer metrics).
 const restartEvents = 120_000
 
 func benchRestart(b *testing.B, ckptEvery int) {

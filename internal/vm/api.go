@@ -26,9 +26,11 @@ func (v *VM) callAPI(u *unit, inPayload string, caller string, api dex.API, args
 	for _, o := range v.observers {
 		o(call)
 	}
-	if h, ok := v.hooks[api]; ok {
-		if res, handled, err := h(call); handled {
-			return res, err
+	if len(v.hooks) != 0 {
+		if h, ok := v.hooks[api]; ok {
+			if res, handled, err := h(call); handled {
+				return res, err
+			}
 		}
 	}
 	return v.dispatch(u, inPayload, api, args, depth)

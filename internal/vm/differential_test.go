@@ -9,6 +9,7 @@ import (
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
 	"bombdroid/internal/dex"
+	"bombdroid/internal/lockbox"
 	"bombdroid/internal/obs"
 )
 
@@ -50,9 +51,6 @@ func newDiffPair(t *testing.T, pkg *apk.Package, opts Options) *diffPair {
 // cap against self-referential arrays built by hostile code.
 func valueEq(a, b dex.Value, depth int) bool {
 	if a.Kind != b.Kind || a.Int != b.Int || a.Str != b.Str {
-		return false
-	}
-	if string(a.Bytes) != string(b.Bytes) {
 		return false
 	}
 	if a.Kind == dex.KindArr {
@@ -394,6 +392,10 @@ func TestDifferentialMalformed(t *testing.T) {
 			{Op: dex.OpAdd, A: 1, B: 0, C: 0},
 			{Op: dex.OpReturnVoid},
 		}),
+		"cost-only call into register out of range": badFile(2, []dex.Instr{
+			{Op: dex.OpCallAPI, A: 9, B: 0, C: 1, Imm: int64(dex.APIUIDraw)},
+			{Op: dex.OpReturnVoid},
+		}),
 		"division by zero": badFile(2, []dex.Instr{
 			{Op: dex.OpConstInt, A: 0, B: -1, C: -1, Imm: 0},
 			{Op: dex.OpDiv, A: 1, B: 0, C: 0},
@@ -495,4 +497,183 @@ func TestDifferentialRandomCode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// buildCostApp is a method heavy in cost-only framework calls:
+// render(n) loops n times over uiDraw/playSound/vibrate, branching on
+// the results, so a hook that returns non-nil changes control flow.
+// tap() reaches render through an invoke and a reflective vibrate.
+func buildCostApp(t *testing.T) *dex.File {
+	t.Helper()
+	f := dex.NewFile()
+	app := &dex.Class{Name: "App"}
+	b := dex.NewBuilder(f, "render", 1)
+	i, acc, res := b.Reg(), b.Reg(), b.Reg()
+	b.ConstInt(i, 0)
+	b.ConstInt(acc, 0)
+	b.ConstStr(res, "stale") // overwritten by the first call's nil
+	b.Label("loop")
+	b.Branch(dex.OpIfGe, i, 0, "done")
+	b.CallAPI(res, dex.APIUIDraw, i)
+	b.BranchZ(dex.OpIfEqz, res, "quiet")
+	b.AddK(acc, acc, 100)
+	b.Label("quiet")
+	b.CallAPI(-1, dex.APIPlaySound, i)
+	b.CallAPI(res, dex.APIVibrate, i)
+	b.BranchZ(dex.OpIfEqz, res, "next")
+	b.AddK(acc, acc, 1)
+	b.Label("next")
+	b.AddK(i, i, 1)
+	b.Goto("loop")
+	b.Label("done")
+	b.Return(acc)
+	app.AddMethod(b.MustFinish())
+
+	b = dex.NewBuilder(f, "tap", 0)
+	n, out, name := b.Reg(), b.Reg(), b.Reg()
+	b.ConstInt(n, 7)
+	b.Invoke(out, "App.render", n)
+	b.ConstStr(name, "vibrate")
+	b.CallAPI(res, dex.APIReflectCall, name, n)
+	b.Return(out)
+	app.AddMethod(b.MustFinish())
+	if err := f.AddClass(app); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestDifferentialCostOnlyCalls pins the quickened cost-only call
+// (qCallAPINop) to the reference interpreter in the three states it
+// distinguishes: nothing watching, an observer installed between two
+// Invokes, and a hook on vibrate that substitutes a non-nil result for
+// some calls and declines others.
+func TestDifferentialCostOnlyCalls(t *testing.T) {
+	pkg := signApp(t, "cost.app", buildCostApp(t))
+	opts := Options{Seed: 3, Profile: true, TraceDepth: 64}
+
+	t.Run("quickened", func(t *testing.T) {
+		p := newDiffPair(t, pkg, opts)
+		nops := 0
+		for _, in := range p.q.app.q.byName["App.render"].code {
+			if in.op == qCallAPINop {
+				nops++
+			}
+		}
+		if nops != 3 {
+			t.Fatalf("render has %d qCallAPINop instructions, want 3", nops)
+		}
+	})
+	t.Run("no hooks", func(t *testing.T) {
+		p := newDiffPair(t, pkg, opts)
+		p.invoke(t, "App.render", dex.Int64(40))
+		p.invoke(t, "App.tap")
+		p.finish(t)
+	})
+	t.Run("observer between invokes", func(t *testing.T) {
+		p := newDiffPair(t, pkg, opts)
+		p.invoke(t, "App.render", dex.Int64(25))
+		var seen [2][]string
+		for k, v := range []*VM{p.q, p.r} {
+			k := k
+			v.Observe(func(c APICall) {
+				seen[k] = append(seen[k], fmt.Sprint(c.API.Name(), c.Args, c.InPayload, c.Method))
+			})
+		}
+		p.invoke(t, "App.render", dex.Int64(25))
+		p.invoke(t, "App.tap")
+		if len(seen[0]) != 3*25+3*7+2 {
+			t.Fatalf("observer saw %d calls, want %d", len(seen[0]), 3*25+3*7+2)
+		}
+		if fmt.Sprint(seen[0]) != fmt.Sprint(seen[1]) {
+			t.Fatalf("observed calls diverge:\n  quickened: %v\n  reference: %v", seen[0], seen[1])
+		}
+		p.finish(t)
+	})
+	t.Run("hook returns non-nil", func(t *testing.T) {
+		p := newDiffPair(t, pkg, opts)
+		p.invoke(t, "App.render", dex.Int64(10))
+		for _, v := range []*VM{p.q, p.r} {
+			v.Hook(dex.APIVibrate, func(c APICall) (dex.Value, bool, error) {
+				if len(c.Args) == 1 && c.Args[0].Int%3 == 0 {
+					return dex.Int64(9), true, nil
+				}
+				return dex.Nil(), false, nil
+			})
+		}
+		p.invoke(t, "App.render", dex.Int64(30))
+		p.invoke(t, "App.tap")
+		if got, _ := p.q.Invoke("App.render", dex.Int64(6)); got.Int != 2 {
+			t.Fatalf("hooked render(6) = %v, want 2 (vibrate hooked at i=0 and i=3)", got)
+		}
+		p.r.Invoke("App.render", dex.Int64(6))
+		for _, v := range []*VM{p.q, p.r} {
+			v.Unhook(dex.APIVibrate)
+		}
+		p.invoke(t, "App.render", dex.Int64(10))
+		p.finish(t)
+	})
+}
+
+// TestDifferentialProfileShadowedName covers the profile merge: the
+// quickened path counts app methods in dense slots and payload methods
+// by name, so a payload method shadowing an app method's name must add
+// into the same profile entry, as in the reference's single map.
+func TestDifferentialProfileShadowedName(t *testing.T) {
+	pf := dex.NewFile()
+	shadow := &dex.Class{Name: "App"}
+	pb := dex.NewBuilder(pf, "bump", 0)
+	pb.ReturnVoid()
+	shadow.AddMethod(pb.MustFinish())
+	entry := &dex.Class{Name: "P"}
+	pb = dex.NewBuilder(pf, "run", 0)
+	pb.Invoke(-1, "App.bump") // resolves to the payload's own App.bump
+	pb.ReturnVoid()
+	entry.AddMethod(pb.MustFinish())
+	for _, c := range []*dex.Class{shadow, entry} {
+		if err := pf.AddClass(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed, err := lockbox.SealValue(dex.Encode(pf), dex.Int64(5), "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := dex.NewFile()
+	app := &dex.Class{Name: "App"}
+	blob := f.AddBlob(sealed)
+	b := dex.NewBuilder(f, "bump", 0)
+	b.ReturnVoid()
+	app.AddMethod(b.MustFinish())
+	b = dex.NewBuilder(f, "fire", 0)
+	args := b.Regs(3)
+	b.ConstInt(args, blob)
+	b.ConstInt(args+1, 5)
+	b.ConstStr(args+2, "s")
+	h := b.Reg()
+	b.CallAPI(h, dex.APIDecryptLoad, args, args+1, args+2)
+	b.CallAPI(-1, dex.APIInvokePayload, h)
+	b.Invoke(-1, "App.bump")
+	b.ReturnVoid()
+	app.AddMethod(b.MustFinish())
+	if err := f.AddClass(app); err != nil {
+		t.Fatal(err)
+	}
+
+	p := newDiffPair(t, signApp(t, "shadow.app", f), Options{Seed: 1, Profile: true})
+	p.invoke(t, "App.fire")
+	p.invoke(t, "App.fire")
+	if got := p.q.Profile()["App.bump"]; got != 4 {
+		t.Fatalf("profile[App.bump] = %d, want 4 (2 app + 2 payload)", got)
+	}
+	p.finish(t)
+	for _, v := range []*VM{p.q, p.r} {
+		v.ResetProfile()
+	}
+	p.invoke(t, "App.bump")
+	if got := p.q.Profile(); len(got) != 1 || got["App.bump"] != 1 {
+		t.Fatalf("profile after reset = %v, want only App.bump:1", got)
+	}
+	p.finish(t)
 }

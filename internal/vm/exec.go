@@ -14,8 +14,11 @@ import (
 // validation (or was corrupted in memory after it) surfaces as a
 // RuntimeError, the same fate as any other bytecode-level fault.
 func (v *VM) Invoke(full string, args ...dex.Value) (res dex.Value, err error) {
+	mk := v.arena.mark()
 	defer func() {
 		if r := recover(); r != nil {
+			// The panic skipped the unwound frames' arena releases.
+			v.arena.release(mk)
 			res = dex.Nil()
 			err = &RuntimeError{Method: full, PC: -1,
 				Reason: fmt.Sprintf("contained panic: %v", r)}

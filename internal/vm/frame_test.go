@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
 	"bombdroid/internal/dex"
@@ -84,5 +85,53 @@ func TestFrameReuseNestedCalls(t *testing.T) {
 		if got := mustInvoke(t, v, "App.chain"); got.Int != 7 {
 			t.Fatalf("iteration %d: chain = %v, want 7", i, got)
 		}
+	}
+}
+
+// TestArenaRewindsAfterContainedPanic pins the arena contract without
+// a per-frame defer: a hook panics three frames deep (outer → mid →
+// inner → log), Invoke contains it, and the next Invoke must start
+// from the same arena mark. Each frame takes 100 registers, so frames
+// left unreleased would add a chunk per Invoke.
+func TestArenaRewindsAfterContainedPanic(t *testing.T) {
+	f := dex.NewFile()
+	app := &dex.Class{Name: "App"}
+	b := dex.NewBuilder(f, "inner", 0)
+	r := b.Regs(100)
+	b.ConstInt(r, 1)
+	b.CallAPI(-1, dex.APILog, r)
+	b.Return(r)
+	app.AddMethod(b.MustFinish())
+	for _, m := range []struct{ name, callee string }{{"mid", "App.inner"}, {"outer", "App.mid"}} {
+		b = dex.NewBuilder(f, m.name, 0)
+		r = b.Regs(100)
+		b.Invoke(r, m.callee)
+		b.Return(r)
+		app.AddMethod(b.MustFinish())
+	}
+	if err := f.AddClass(app); err != nil {
+		t.Fatal(err)
+	}
+	v := installApp(t, f, false)
+	v.Hook(dex.APILog, func(APICall) (dex.Value, bool, error) { panic("hook blew up") })
+
+	start := v.arena.mark()
+	for i := 0; i < 10_000; i++ {
+		if _, err := v.Invoke("App.outer"); err == nil || !strings.Contains(err.Error(), "contained panic: hook blew up") {
+			t.Fatalf("invoke %d: err = %v, want the contained hook panic", i, err)
+		}
+		if got := v.arena.mark(); got != start {
+			t.Fatalf("invoke %d: arena mark %+v after the panic, want %+v", i, got, start)
+		}
+	}
+	if n := len(v.arena.chunks); n > 2 {
+		t.Fatalf("arena grew to %d chunks over 10k contained panics", n)
+	}
+	v.Unhook(dex.APILog)
+	if got := mustInvoke(t, v, "App.outer"); got.Int != 1 {
+		t.Fatalf("outer after the panics = %v, want 1", got)
+	}
+	if got := v.arena.mark(); got != start {
+		t.Fatalf("arena mark %+v after a clean Invoke, want %+v", got, start)
 	}
 }

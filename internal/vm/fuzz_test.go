@@ -125,6 +125,16 @@ func FuzzExec(f *testing.F) {
 		{Op: dex.OpCallAPI, A: 0, B: 0, C: 2, Imm: int64(dex.APIDecryptLoad)},
 		{Op: dex.OpReturnVoid},
 	})))
+	// Cost-only calls, including a result register out of range.
+	f.Add(dex.Encode(badFile(3, []dex.Instr{
+		{Op: dex.OpConstInt, A: 0, B: -1, C: -1, Imm: 5},
+		{Op: dex.OpCallAPI, A: 1, B: 0, C: 1, Imm: int64(dex.APIUIDraw)},
+		{Op: dex.OpCallAPI, A: -1, B: 0, C: 1, Imm: int64(dex.APIPlaySound)},
+		{Op: dex.OpCallAPI, A: 2, B: 0, C: 1, Imm: int64(dex.APIVibrate)},
+		{Op: dex.OpIfNez, A: 2, B: -1, C: 6},
+		{Op: dex.OpCallAPI, A: 7, B: 0, C: 0, Imm: int64(dex.APIVibrate)},
+		{Op: dex.OpReturn, A: 1, B: -1, C: -1},
+	})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := dex.Decode(data)
 		if err != nil {

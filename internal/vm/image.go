@@ -60,6 +60,12 @@ func buildImage(file *dex.File) *image {
 		}
 	}
 	quickenUnit(u, img.slotFor)
+	// Number the app's methods for the dense per-VM profile counters.
+	i := 0
+	for _, qm := range u.q.byName {
+		qm.idx = i
+		i++
+	}
 	return img
 }
 

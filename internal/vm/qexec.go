@@ -18,7 +18,9 @@ const arenaChunk = 256
 // session loop allocates no frames at all. A VM is single-goroutine by
 // contract, and frames nest strictly (calls, payload invokes, hook
 // reentry all push/pop in LIFO order), so a pair of cursor ints is the
-// whole bookkeeping.
+// whole bookkeeping. Frames release on return without a defer; a
+// panic unwinding through them skips those releases, and Invoke's
+// recover rewinds the arena to the mark its call started from.
 type frameArena struct {
 	chunks [][]dex.Value
 	ci     int // current chunk
@@ -92,12 +94,14 @@ func (v *VM) fuseStep(qm *qmethod, pc int, in *qinstr, inPayload string) error {
 }
 
 // fuseArith2 executes the arithmetic second half of a fused pair.
+// Int operands are read through pointers into the register file here
+// and in the loop below, saving a 40-byte copy per operand.
 func fuseArith2(qm *qmethod, pc int, in *qinstr, regs []dex.Value) error {
-	x := regs[in.b2]
+	x := &regs[in.b2]
 	if x.Kind != dex.KindInt {
 		return typeFault(qm, pc+1, x.Kind)
 	}
-	y := regs[in.c2]
+	y := &regs[in.c2]
 	if y.Kind != dex.KindInt {
 		return typeFault(qm, pc+1, y.Kind)
 	}
@@ -122,11 +126,11 @@ func qcond(qm *qmethod, pc int, op dex.Op, regs []dex.Value, a, b int32) (bool, 
 	case dex.OpIfNez:
 		return regs[a].Truthy(), nil
 	}
-	x := regs[a]
+	x := &regs[a]
 	if x.Kind != dex.KindInt {
 		return false, typeFault(qm, pc, x.Kind)
 	}
-	y := regs[b]
+	y := &regs[b]
 	if y.Kind != dex.KindInt {
 		return false, typeFault(qm, pc, y.Kind)
 	}
@@ -164,13 +168,22 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			Reason: fmt.Sprintf("register count %d outside [0,%d]", m.NumRegs, maxFrameRegs)}
 	}
 	if v.opts.Profile {
-		v.profile[qm.full]++
+		if qm.idx >= 0 {
+			v.profDense[qm.idx]++
+		} else {
+			v.profile[qm.full]++
+		}
 	}
 	mk := v.arena.mark()
-	defer v.arena.release(mk)
 	regs := v.arena.get(m.NumRegs)
 	copy(regs, args)
+	res, err := v.qrun(u, inPayload, qm, regs, depth)
+	v.arena.release(mk)
+	return res, err
+}
 
+// qrun is the dispatch loop over one frame's registers.
+func (v *VM) qrun(u *unit, inPayload string, qm *qmethod, regs []dex.Value, depth int) (dex.Value, error) {
 	pc := 0
 	code := qm.code
 	// Hoisted loop invariants: obsOps and trace are fixed at VM
@@ -218,11 +231,11 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			regs[in.a] = regs[in.b]
 
 		case qArith:
-			x := regs[in.b]
+			x := &regs[in.b]
 			if x.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, x.Kind)
 			}
-			y := regs[in.c]
+			y := &regs[in.c]
 			if y.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, y.Kind)
 			}
@@ -266,11 +279,11 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			}
 
 		case qIfLt:
-			x := regs[in.a]
+			x := &regs[in.a]
 			if x.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, x.Kind)
 			}
-			y := regs[in.b]
+			y := &regs[in.b]
 			if y.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, y.Kind)
 			}
@@ -280,11 +293,11 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			}
 
 		case qIfLe:
-			x := regs[in.a]
+			x := &regs[in.a]
 			if x.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, x.Kind)
 			}
-			y := regs[in.b]
+			y := &regs[in.b]
 			if y.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, y.Kind)
 			}
@@ -294,11 +307,11 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			}
 
 		case qIfGt:
-			x := regs[in.a]
+			x := &regs[in.a]
 			if x.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, x.Kind)
 			}
-			y := regs[in.b]
+			y := &regs[in.b]
 			if y.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, y.Kind)
 			}
@@ -308,11 +321,11 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			}
 
 		case qIfGe:
-			x := regs[in.a]
+			x := &regs[in.a]
 			if x.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, x.Kind)
 			}
-			y := regs[in.b]
+			y := &regs[in.b]
 			if y.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, y.Kind)
 			}
@@ -382,6 +395,19 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 		case qInvokeBadWindow, qCallAPIBadWindow:
 			return dex.Nil(), qfault(qm, pc, "arg window [%d,%d) outside %d registers",
 				in.b, int(in.b)+int(in.c), len(regs))
+
+		case qCallAPINop:
+			// Nothing can see the call, so its whole effect is the
+			// clock charge and the nil result. Hooks or observers
+			// installed since quickening take the full path below.
+			if len(v.hooks) == 0 && len(v.observers) == 0 {
+				v.clock += dex.API(in.imm).Cost()
+				if in.a != -1 {
+					regs[in.a] = dex.Value{}
+				}
+				break
+			}
+			fallthrough
 
 		case qCallAPI:
 			res, err := v.callAPI(u, inPayload, qm.full, dex.API(in.imm), regs[in.b:int(in.b)+int(in.c)], depth)
@@ -503,11 +529,11 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 			continue
 
 		case qFuseArithIf:
-			x := regs[in.b]
+			x := &regs[in.b]
 			if x.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, x.Kind)
 			}
-			y := regs[in.c]
+			y := &regs[in.c]
 			if y.Kind != dex.KindInt {
 				return dex.Nil(), typeFault(qm, pc, y.Kind)
 			}

@@ -82,6 +82,7 @@ const (
 	qInvokeUnresolved
 	qInvokeBadWindow
 	qCallAPI
+	qCallAPINop // a dex.API CostOnly call: charge the cost, result nil
 	qCallAPIBadWindow
 	qReturn
 	qReturnVoid
@@ -131,10 +132,14 @@ type qtable struct {
 
 // qmethod is one quickened method. full is the precomputed
 // "Class.Method" name reused by the profile, trace, RuntimeError, and
-// APICall paths, which otherwise re-format it per call.
+// APICall paths, which otherwise re-format it per call. idx is the
+// method's slot in the VM's dense profile counters (VM.profDense) for
+// app-image methods, and -1 for payload methods, which count into the
+// profile map by name.
 type qmethod struct {
 	m      *dex.Method
 	full   string
+	idx    int
 	code   []qinstr
 	tables []qtable
 }
@@ -177,7 +182,7 @@ func quickenUnit(u *unit, slotFor func(string) int32) {
 	// Phase 1: shells, so self- and mutually-recursive invoke targets
 	// resolve to stable *qmethod pointers during phase 2.
 	for name, m := range u.methods {
-		qm := &qmethod{m: m, full: name}
+		qm := &qmethod{m: m, full: name, idx: -1}
 		q.byName[name] = qm
 		q.byMethod[m] = qm
 	}
@@ -264,9 +269,12 @@ func quickenMethod(u *unit, qm *qmethod, slotFor func(string) int32) {
 				u.q.targets = append(u.q.targets, qtarget{qm: tq, u: r.u})
 			}
 		case in.Op == dex.OpCallAPI:
-			if in.B < 0 || in.C < 0 || int(in.B)+int(in.C) > m.NumRegs {
+			switch {
+			case in.B < 0 || in.C < 0 || int(in.B)+int(in.C) > m.NumRegs:
 				qi.op = qCallAPIBadWindow
-			} else {
+			case dex.API(in.Imm).CostOnly():
+				qi.op = qCallAPINop
+			default:
 				qi.op = qCallAPI
 			}
 		case in.Op == dex.OpReturn:

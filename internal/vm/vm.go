@@ -220,7 +220,11 @@ type VM struct {
 	hooks     map[dex.API]Hook
 	observers []Observer
 
-	profile map[string]int64
+	// Method invocation counts: app-image methods in profDense, by
+	// qmethod.idx (quickened path only); payload methods and every
+	// reference-path call in profile, by name.
+	profile   map[string]int64
+	profDense []int64
 
 	payloads     map[int64]*payloadUnit // handle -> unit
 	decryptCache map[int64]int64        // blob index -> handle
@@ -320,6 +324,9 @@ func newVM(img *image, p *apk.Package, dev *android.Device, opts Options) *VM {
 		decryptCache: make(map[int64]int64),
 		outerFired:   make(map[int64]bool),
 		bombChecks:   make(map[string]int64),
+	}
+	if opts.Profile {
+		v.profDense = make([]int64, len(img.unit.q.byName))
 	}
 	if opts.TraceDepth > 0 {
 		v.trace = make([]TraceEntry, opts.TraceDepth)
@@ -519,11 +526,21 @@ func (v *VM) Profile() map[string]int64 {
 	for k, c := range v.profile {
 		out[k] = c
 	}
+	if v.profDense != nil {
+		for name, qm := range v.app.q.byName {
+			if c := v.profDense[qm.idx]; c != 0 {
+				out[name] += c // a payload method may shadow the name
+			}
+		}
+	}
 	return out
 }
 
 // ResetProfile clears invocation counts.
-func (v *VM) ResetProfile() { v.profile = make(map[string]int64) }
+func (v *VM) ResetProfile() {
+	v.profile = make(map[string]int64)
+	clear(v.profDense)
+}
 
 // OuterTriggered returns the blob indices whose sealed payloads were
 // successfully authenticated — exactly the bombs whose outer trigger
