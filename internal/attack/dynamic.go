@@ -89,8 +89,7 @@ func ForcedExecution(file *dex.File, res apk.Resources, seed int64) (ForcedExecu
 				return out, fmt.Errorf("attack: lab install: %w", err)
 			}
 			v.Observe(func(call vm.APICall) {
-				switch call.API {
-				case dex.APIGetPublicKey, dex.APIGetManifestDigest, dex.APICodeDigest:
+				if call.API.DetectionCheck() {
 					controlRevealed = true
 				}
 			})
@@ -122,8 +121,7 @@ func ForcedExecution(file *dex.File, res apk.Resources, seed int64) (ForcedExecu
 				// reflection) or inside a decrypted payload.
 				revealed := false
 				v.Observe(func(call vm.APICall) {
-					switch call.API {
-					case dex.APIGetPublicKey, dex.APIGetManifestDigest, dex.APICodeDigest:
+					if call.API.DetectionCheck() {
 						revealed = true
 						if call.InPayload != "" {
 							out.RevealedIDs[call.InPayload] = true

@@ -156,6 +156,17 @@ func (a API) CostOnly() bool {
 	return false
 }
 
+// DetectionCheck reports whether a call is one of a bomb's
+// repackaging checks: reading the signing key, a manifest digest, or
+// a loaded class's code digest.
+func (a API) DetectionCheck() bool {
+	switch a {
+	case APIGetPublicKey, APIGetManifestDigest, APICodeDigest:
+		return true
+	}
+	return false
+}
+
 // APIByName resolves a reflection name to its API id, returning
 // APIInvalid when unknown. This is the dispatch used by
 // APIReflectCall.

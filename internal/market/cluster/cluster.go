@@ -403,9 +403,10 @@ func (r *Router) FingerprintCtx(ctx context.Context, app string) (market.Fingerp
 //     so the sums equal a single full-range node's df and corpus
 //     size).
 //
-// The merged candidates then go through the exact Rank/TopK the store
-// itself runs, so the federated neighbor list — scores included — is
-// byte-identical to the single-node reference.
+// similarity.Rank interns the merged candidates' digests locally and
+// scores them with the same kernel the store's Index.Rank runs, so the
+// federated neighbor list — scores included — is byte-identical to
+// the single-node reference.
 func (r *Router) SimilarCtx(ctx context.Context, app string) (market.Similar, error) {
 	fp, err := r.FingerprintCtx(ctx, app)
 	if err != nil {
@@ -459,9 +460,7 @@ func (r *Router) SimilarCtx(ctx context.Context, app string) (market.Similar, er
 		return market.Similar{}, err
 	}
 
-	ns := similarity.TopK(
-		similarity.Rank(fp.Digests, cands, func(d string) int64 { return df[d] }, apps),
-		r.members[0].desc.SimilarityK)
+	ns := similarity.TopK(similarity.Rank(fp.Digests, cands, df, apps), r.members[0].desc.SimilarityK)
 	return market.Similar{
 		App:       app,
 		Known:     true,

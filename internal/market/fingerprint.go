@@ -185,15 +185,14 @@ func (st *Store) Fingerprint(app string) (Fingerprint, error) {
 
 // Similar answers app's top-K weighted-Jaccard neighbors: candidate
 // generation through the inverted index (sub-quadratic), exact
-// rescoring only on the candidates. ErrNoFingerprint when the app
-// never uploaded one.
+// rescoring only on the candidates, both under one index read lock.
+// ErrNoFingerprint when the app never uploaded one.
 func (st *Store) Similar(app string) (Similar, error) {
-	fp, ok := st.idx.Get(app)
+	ranked, ok := st.idx.Rank(app)
 	if !ok {
 		return Similar{}, fmt.Errorf("%w: %q", ErrNoFingerprint, app)
 	}
-	cands := st.idx.Candidates(fp, app)
-	ns := similarity.TopK(similarity.Rank(fp, cands, st.idx.DF, st.idx.Apps()), st.cfg.SimilarityK)
+	ns := similarity.TopK(ranked, st.cfg.SimilarityK)
 	return Similar{App: app, Known: true, Tau: st.cfg.SimilarityTau, Neighbors: ns}, nil
 }
 
@@ -201,8 +200,8 @@ func (st *Store) Similar(app string) (Similar, error) {
 // sharing at least one digest with the query, with its fingerprint,
 // sorted by app for a deterministic wire shape.
 func (st *Store) Probe(req ProbeRequest) ProbeResponse {
-	cands := st.idx.Candidates(similarity.Canonical(req.Digests), req.Exclude)
-	out := ProbeResponse{Apps: st.idx.Apps()}
+	cands, apps := st.idx.Candidates(similarity.Canonical(req.Digests), req.Exclude)
+	out := ProbeResponse{Apps: apps}
 	for app, digests := range cands {
 		out.Candidates = append(out.Candidates, Fingerprint{App: app, Digests: digests})
 	}
@@ -213,14 +212,9 @@ func (st *Store) Probe(req ProbeRequest) ProbeResponse {
 }
 
 // DFQuery serves the federation weighting round: local document
-// frequencies for the requested digests. Digests no local
-// fingerprint contains are omitted.
+// frequencies for the requested digests, read under one index lock.
+// Digests no local fingerprint contains are omitted.
 func (st *Store) DFQuery(req DFRequest) DFResponse {
-	out := DFResponse{Apps: st.idx.Apps(), DF: make(map[string]int64, len(req.Digests))}
-	for _, d := range similarity.Canonical(req.Digests) {
-		if n := st.idx.DF(d); n > 0 {
-			out.DF[d] = n
-		}
-	}
-	return out
+	df, apps := st.idx.DocFreqs(similarity.Canonical(req.Digests))
+	return DFResponse{Apps: apps, DF: df}
 }

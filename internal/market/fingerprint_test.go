@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"bombdroid/internal/market/marketfs"
+	"bombdroid/internal/market/similarity"
 	"bombdroid/internal/obs"
 	"bombdroid/internal/report"
 )
@@ -352,5 +354,102 @@ func TestFingerprintCrashRecovery(t *testing.T) {
 	fpCorpus(t, st2)
 	if got := snapshotJSON(t, st2, apps); got != want {
 		t.Errorf("state after crash+resend differs from never-crashed reference:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSimilarConcurrentWithFingerprintChurn: Similar and Verdict read
+// one consistent index state each while PutFingerprint churns other
+// apps' fingerprints (and with them every df and the corpus size).
+// Every answer stays sorted with scores in (0,1], identical twins
+// score exactly 1.0 whatever the weights, and the candidate-walk
+// counters land in the store's registry. Run under -race.
+func TestSimilarConcurrentWithFingerprintChurn(t *testing.T) {
+	reg := obs.NewRegistry()
+	st, _ := mustOpen(t, Config{Dir: t.TempDir(), Shards: 2, Threshold: 1, Obs: reg})
+	defer st.Close()
+
+	set := fpDigests("twin", 12)
+	mustPut(t, st, "app.orig", set)
+	mustPut(t, st, "app.copy", set)
+	if _, _, err := st.Ingest([]report.Event{ev("app.copy", "b", "u")}); err != nil {
+		t.Fatal(err)
+	}
+
+	const writers, readers, rounds = 2, 2, 60
+	done := make(chan struct{})
+	errs := make(chan error, writers+readers)
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for r := 0; r < rounds; r++ {
+				// Each churn app keeps part of the twins' set and swaps its
+				// private digests, so df and candidates move every round.
+				app := fmt.Sprintf("app.churn-%d-%d", w, r%4)
+				d := append(fpDigests(fmt.Sprintf("churn-%d-%d", w, r), 3), set[r%6:r%6+5]...)
+				if _, err := st.PutFingerprint(Fingerprint{App: app, Digests: d}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	check := func(ns []similarity.Neighbor) error {
+		for i, n := range ns {
+			if !(n.Score > 0 && n.Score <= 1) {
+				return fmt.Errorf("neighbor %+v scored outside (0,1]", n)
+			}
+			if i > 0 && (ns[i-1].Score < n.Score || ns[i-1].Score == n.Score && ns[i-1].App >= n.App) {
+				return fmt.Errorf("neighbors out of order at %d: %+v", i, ns)
+			}
+		}
+		if len(ns) == 0 || ns[0] != (similarity.Neighbor{App: "app.copy", Score: 1.0, Shared: len(set)}) {
+			return fmt.Errorf("top neighbor of app.orig = %+v, want app.copy at exactly 1.0", ns)
+		}
+		return nil
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				sim, err := st.Similar("app.orig")
+				if err == nil {
+					err = check(sim.Neighbors)
+				}
+				if err == nil {
+					v := st.Verdict("app.orig")
+					if s := v.Channels.Similarity; !s.Flagged || s.Neighbor != "app.copy" || s.Score != 1.0 {
+						err = fmt.Errorf("verdict similarity channel = %+v, want app.copy at exactly 1.0", s)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	scanned, rescored := st.idx.Stats()
+	snap := reg.Snapshot()
+	if got := snap.Counters["market_similarity_postings_scanned_total"]; got != scanned || got == 0 {
+		t.Errorf("market_similarity_postings_scanned_total = %d, want Stats() %d > 0", got, scanned)
+	}
+	if got := snap.Counters["market_similarity_candidates_total"]; got != rescored || got == 0 {
+		t.Errorf("market_similarity_candidates_total = %d, want Stats() %d > 0", got, rescored)
 	}
 }

@@ -306,7 +306,7 @@ func Open(cfg Config) (*Store, ReplayStats, error) {
 	}
 	st := &Store{
 		cfg:       cfg,
-		idx:       similarity.NewIndex(),
+		idx:       similarity.NewIndex(cfg.Obs),
 		fullRange: cfg.Range.Lo == 0 && cfg.Range.Hi == cfg.Slots,
 		rejects:   cfg.Obs.Counter("market_backpressure_rejects_total"),
 		misroute:  cfg.Obs.Counter("market_misrouted_rejects_total"),
@@ -607,13 +607,8 @@ func (st *Store) reportsChannel(app string) ReportsChannel {
 // similarity itself would recurse.
 func (st *Store) similarityChannel(app string) SimilarityChannel {
 	out := SimilarityChannel{Tau: st.cfg.SimilarityTau}
-	fp, ok := st.idx.Get(app)
-	if !ok || len(fp) == 0 {
-		return out
-	}
-	cands := st.idx.Candidates(fp, app)
-	ranked := similarity.TopK(similarity.Rank(fp, cands, st.idx.DF, st.idx.Apps()), st.cfg.SimilarityK)
-	for _, n := range ranked {
+	ranked, _ := st.idx.Rank(app)
+	for _, n := range similarity.TopK(ranked, st.cfg.SimilarityK) {
 		if n.Score < st.cfg.SimilarityTau {
 			break // sorted by score desc: nothing below τ qualifies
 		}

@@ -126,18 +126,9 @@ func driveSession(ctx context.Context, v *vm.VM, surf Surface, opts SessionOptio
 
 	var res SessionResult
 	res.StartClockMs = start
-	first := int64(-1)
-	v.Observe(func(call vm.APICall) {
-		if call.InPayload == "" || first >= 0 {
-			return
-		}
-		switch call.API {
-		case dex.APIGetPublicKey, dex.APIGetManifestDigest, dex.APICodeDigest:
-			first = v.NowMillis() - start
-			res.FirstBomb = call.InPayload
-		}
-	})
-
+	// The VM records the first detection check itself (FirstBombCheck),
+	// so the session installs no observer and cost-only framework calls
+	// keep their quickened fast path.
 	for _, init := range v.InitMethods() {
 		if _, err := v.Invoke(init); err != nil && vm.AbnormalExit(err) {
 			res.AbnormalExit = true
@@ -149,7 +140,10 @@ func driveSession(ctx context.Context, v *vm.VM, surf Surface, opts SessionOptio
 	// per-event work allocates nothing.
 	scratch := make([]string, 0, len(surf.Handlers))
 	argbuf := make([]dex.Value, 2)
-	for first < 0 && v.NowMillis()-start < opts.CapMs {
+	for v.NowMillis()-start < opts.CapMs {
+		if _, _, hit := v.FirstBombCheck(); hit {
+			break
+		}
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -167,9 +161,10 @@ func driveSession(ctx context.Context, v *vm.VM, surf Surface, opts SessionOptio
 			break
 		}
 	}
-	if first >= 0 {
+	if ms, class, hit := v.FirstBombCheck(); hit {
 		res.Triggered = true
-		res.TimeToFirstMs = first
+		res.TimeToFirstMs = ms - start
+		res.FirstBomb = class
 	} else if res.AbnormalExit {
 		// The crash itself is a detonation the user experienced.
 		res.Triggered = true

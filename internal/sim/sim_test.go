@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
 	"bombdroid/internal/core"
+	"bombdroid/internal/vm"
 )
 
 func prepared(t *testing.T, seed int64) (*apk.Package, *apk.Package, Surface, *core.Result) {
@@ -170,5 +172,55 @@ func TestChaosCampaignCancellation(t *testing.T) {
 	_, err := RunChaos(ctx, pirated, surf, ChaosOptions{Sessions: 6, Seed: 9})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFirstBombCheckMatchesObserver: the VM's own record of the first
+// detection check is exactly what a call observer sees, and a session
+// without any observer (cost-only calls on their fast path) plays out
+// identically to one with an observer installed.
+func TestFirstBombCheckMatchesObserver(t *testing.T) {
+	_, pirated, surf, _ := prepared(t, 201)
+	triggered := 0
+	for i := 0; i < 8; i++ {
+		// A session mutates its device, so each run gets its own copy.
+		dev := func() *android.Device { return android.SamplePopulation("u", rand.New(rand.NewSource(int64(i)))) }
+		opts := SessionOptions{Seed: int64(i) * 13, StartClockMs: -1}.withDefaults()
+		plain, err := RunUserSession(pirated, surf, dev(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		v, err := vm.New(pirated, dev(), vm.Options{Seed: opts.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seenMs, seenClass := int64(-1), ""
+		v.Observe(func(call vm.APICall) {
+			if call.InPayload != "" && seenClass == "" && call.API.DetectionCheck() {
+				seenMs, seenClass = v.NowMillis(), call.InPayload
+			}
+		})
+		observed, err := driveSession(context.Background(), v, surf, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, observed) {
+			t.Fatalf("session %d: without observer %+v, with observer %+v", i, plain, observed)
+		}
+		ms, class, ok := v.FirstBombCheck()
+		if ok != (seenClass != "") || ms != seenMs && ok || class != seenClass {
+			t.Fatalf("session %d: FirstBombCheck = (%d, %q, %v), observer saw (%d, %q)", i, ms, class, ok, seenMs, seenClass)
+		}
+		if ok {
+			triggered++
+			if observed.FirstBomb != class || observed.TimeToFirstMs != ms-observed.StartClockMs {
+				t.Fatalf("session %d: result names %q at %dms, check was %q at %dms",
+					i, observed.FirstBomb, observed.TimeToFirstMs, class, ms-observed.StartClockMs)
+			}
+		}
+	}
+	if triggered == 0 {
+		t.Fatal("no session ran a detection check")
 	}
 }

@@ -17,11 +17,16 @@ const maxLogLines = 16_384
 
 // callAPI dispatches one framework/intrinsic call. Hooks run first
 // (instrumentation attacks substitute results); observers always see
-// the call. caller is the full name of the calling method — a
+// the call. The first detection check a payload makes is recorded
+// before either, so FirstBombCheck holds exactly what an observer
+// would have seen. caller is the full name of the calling method — a
 // precomputed string rather than a *dex.Method so the quickened path
 // never formats a name per call.
 func (v *VM) callAPI(u *unit, inPayload string, caller string, api dex.API, args []dex.Value, depth int) (dex.Value, error) {
 	v.clock += api.Cost()
+	if inPayload != "" && v.firstCheckClass == "" && api.DetectionCheck() {
+		v.firstCheckMs, v.firstCheckClass = v.NowMillis(), inPayload
+	}
 	call := APICall{API: api, Args: args, InPayload: inPayload, Method: caller}
 	for _, o := range v.observers {
 		o(call)

@@ -240,6 +240,11 @@ type VM struct {
 	leakKB     int64
 	delayed    []delayedResponse
 
+	// The first detection check any payload made: virtual ms after its
+	// cost was charged, and the payload class ("" = none yet).
+	firstCheckMs    int64
+	firstCheckClass string
+
 	steps int64 // consumed within current top-level Invoke
 
 	// freeRegs is a free-list of frame register slices reused across
@@ -563,6 +568,17 @@ func (v *VM) DetectionRuns() map[string]int64 {
 		out[k] = c
 	}
 	return out
+}
+
+// FirstBombCheck reports the first detection check (getPublicKey,
+// getManifestDigest or codeDigest) payload code ran on this VM: the
+// virtual clock in ms just after the call's cost was charged, and the
+// payload class. ok is false until one runs. It is recorded before
+// hooks and observers, so a session driver reads the moment a bomb
+// triggered without installing an observer — which would send every
+// cost-only call down the full callAPI path.
+func (v *VM) FirstBombCheck() (ms int64, class string, ok bool) {
+	return v.firstCheckMs, v.firstCheckClass, v.firstCheckClass != ""
 }
 
 // Faults returns the fail-closed degradations absorbed so far (empty

@@ -1,15 +1,15 @@
 #!/bin/sh
 # Full verification: build, vet, race-enabled tests (the metrics-path
-# packages run with the obs layer exercised by their own tests), a
-# smoke run of cmd/report -metrics proving the JSON snapshot parses,
-# batch-protection smokes, a marketd lifecycle smoke (ingest, SIGTERM,
-# restart-replay), a verdict-timeline smoke (campaign → monotone
-# timeline coherent with /verdict, byte-identical across restart), and
-# a marketd crash smoke (kill -9 mid-hose,
-# checkpointed recovery, no acked event lost), and a fingerprint smoke
-# (batch-protected corpus → fingerprint upload → similarity query →
-# fused verdict, byte-identical across restart and on the federated
-# router). Tier-1 (ROADMAP.md) is `go build ./... &&
+# packages run with the obs layer exercised by their own tests), a 20s
+# fuzz of the similarity index, a smoke run of cmd/report -metrics
+# proving the JSON snapshot parses, batch-protection smokes, a marketd
+# lifecycle smoke (ingest, SIGTERM, restart-replay), a verdict-timeline
+# smoke (campaign → monotone timeline coherent with /verdict,
+# byte-identical across restart), a marketd crash smoke (kill -9
+# mid-hose, checkpointed recovery, no acked event lost), and a
+# fingerprint smoke (batch-protected corpus → fingerprint upload →
+# similarity query → fused verdict, byte-identical across restart and
+# on the federated router). Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate the chaos-hardening,
 # obs, and market-ingestion work is held to.
 set -eu
@@ -38,6 +38,12 @@ go test -run 'TestDifferential' -count=1 ./internal/vm
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> fuzz: similarity index vs a string merge-join oracle (20s)"
+# Random Set/replace/Delete/Rank sequences against the interned-id
+# index: rankings must equal the oracle bit for bit and id churn must
+# never leak ids. New failing inputs land in testdata/fuzz.
+go test -run '^$' -fuzz FuzzIndexRank -fuzztime 20s ./internal/market/similarity
 
 echo "==> smoke: cmd/report -metrics"
 # writeMetrics round-trips the file through json.Unmarshal before the
