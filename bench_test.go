@@ -18,8 +18,8 @@ import (
 
 	"bombdroid/internal/android"
 	"bombdroid/internal/apk"
-	"bombdroid/internal/artifact"
 	"bombdroid/internal/appgen"
+	"bombdroid/internal/artifact"
 	"bombdroid/internal/attack"
 	"bombdroid/internal/chaos"
 	"bombdroid/internal/core"

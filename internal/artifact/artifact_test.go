@@ -171,7 +171,7 @@ func TestStoreConcurrencySmoke(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := KeyOf("t", []byte(fmt.Sprint(i % 37)))
+				k := KeyOf("t", []byte(fmt.Sprint(i%37)))
 				if _, ok := s.Get(k); !ok {
 					s.Put(k, i, int64(i%50))
 				}

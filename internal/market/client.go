@@ -111,25 +111,22 @@ func (a ReportsAPI) PostTraced(ctx context.Context, evs []report.Event, traceID 
 }
 
 func (c *Client) post(ctx context.Context, evs []report.Event, traceID string) (PostResult, error) {
-	var buf bytes.Buffer
-	var w io.Writer = &buf
-	var zw *gzip.Writer
-	if c.Gzip {
-		zw = gzip.NewWriter(&buf)
-		w = zw
-	}
-	enc := json.NewEncoder(w)
+	var body []byte
 	for _, ev := range evs {
-		if err := enc.Encode(ev); err != nil {
+		body = append(ev.AppendJSON(body), '\n')
+	}
+	if c.Gzip {
+		var zbuf bytes.Buffer
+		zw := gzip.NewWriter(&zbuf)
+		if _, err := zw.Write(body); err != nil {
 			return PostResult{}, err
 		}
-	}
-	if zw != nil {
 		if err := zw.Close(); err != nil {
 			return PostResult{}, err
 		}
+		body = zbuf.Bytes()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/reports", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/reports", bytes.NewReader(body))
 	if err != nil {
 		return PostResult{}, err
 	}

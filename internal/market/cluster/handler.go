@@ -51,6 +51,7 @@ const maxRouterEvents = 65536
 func NewHandler(r *Router) http.Handler {
 	mux := http.NewServeMux()
 	reqs := r.Obs().Counter("cluster_http_requests_total")
+	fallbacks := r.Obs().Counter("cluster_ingest_decode_fallback_total")
 
 	mux.HandleFunc("POST /v1/reports", func(w http.ResponseWriter, req *http.Request) {
 		reqs.Inc()
@@ -61,7 +62,7 @@ func NewHandler(r *Router) http.Handler {
 				traceID = h
 			}
 		}
-		evs, ok := market.ReadReports(w, req, maxRouterEvents)
+		evs, ok := market.ReadReports(w, req, maxRouterEvents, fallbacks)
 		if !ok {
 			return
 		}

@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"sync"
 	"time"
@@ -431,9 +430,34 @@ func writeFileAtomic(fsys marketfs.FS, dir, name string, data []byte) error {
 }
 
 func (st *Store) shardFor(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(st.shards)))
+	return int(fnv32a(key) % uint32(len(st.shards)))
+}
+
+// partition splits evs and their keys by shard, keeping arrival order
+// within each shard. Both sides are carved out of one array each.
+func (st *Store) partition(evs []report.Event, keys []string) ([][]report.Event, [][]string) {
+	shardOf := make([]int, len(evs))
+	counts := make([]int, len(st.shards))
+	for i, key := range keys {
+		shardOf[i] = st.shardFor(key)
+		counts[shardOf[i]]++
+	}
+	sortedEvs := make([]report.Event, len(evs))
+	sortedKeys := make([]string, len(evs))
+	parts := make([][]report.Event, len(st.shards))
+	partKeys := make([][]string, len(st.shards))
+	off := 0
+	for i, n := range counts {
+		parts[i] = sortedEvs[off : off : off+n]
+		partKeys[i] = sortedKeys[off : off : off+n]
+		off += n
+	}
+	for i, ev := range evs {
+		j := shardOf[i]
+		parts[j] = append(parts[j], ev)
+		partKeys[j] = append(partKeys[j], keys[i])
+	}
+	return parts, partKeys
 }
 
 // Ingest admits a batch of events: partition by key, reserve queue
@@ -468,16 +492,18 @@ func (st *Store) Ingest(evs []report.Event) (accepted, dups int, err error) {
 		st.mu.RUnlock()
 		return 0, 0, nil
 	}
-	if err := st.checkOwnership(evs); err != nil {
+	// Each key is built once here and rides the request through
+	// commit, dedup, admit and the timeline.
+	keys := make([]string, len(evs))
+	for i, ev := range evs {
+		keys[i] = ev.Key()
+	}
+	if err := st.checkOwnership(keys); err != nil {
 		st.misroute.Inc()
 		st.mu.RUnlock()
 		return 0, 0, err
 	}
-	parts := make([][]report.Event, len(st.shards))
-	for _, ev := range evs {
-		i := st.shardFor(ev.Key())
-		parts[i] = append(parts[i], ev)
-	}
+	parts, partKeys := st.partition(evs, keys)
 	for i, p := range parts {
 		if len(p) == 0 {
 			continue
@@ -514,7 +540,7 @@ func (st *Store) Ingest(evs []report.Event) (accepted, dups int, err error) {
 	// these sends cannot block; the lock can drop before the waits.
 	dones := make([]chan ingestRes, 0, len(reserved))
 	for _, i := range reserved {
-		req := ingestReq{evs: parts[i], done: make(chan ingestRes, 1)}
+		req := ingestReq{evs: parts[i], keys: partKeys[i], done: make(chan ingestRes, 1)}
 		st.shards[i].ch <- req
 		dones = append(dones, req.done)
 	}
@@ -538,8 +564,8 @@ func (st *Store) Ingest(evs []report.Event) (accepted, dups int, err error) {
 // the OR across channels. The struct is comparable (no slices or
 // maps), so determinism tests compare verdicts with ==.
 type Verdict struct {
-	App     string          `json:"app"`
-	Flagged bool            `json:"flagged"`
+	App      string          `json:"app"`
+	Flagged  bool            `json:"flagged"`
 	Channels VerdictChannels `json:"channels"`
 }
 

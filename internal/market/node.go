@@ -3,11 +3,8 @@ package market
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
-
-	"bombdroid/internal/report"
 )
 
 // Node abstraction: a Store is one *node* of a (possibly single-node)
@@ -49,9 +46,22 @@ const DefaultSlots = 256
 // of the node-internal key→shard mapping, so a node may change its
 // shard count story without moving cluster ownership.
 func Slot(key string, slots int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(slots))
+	return int(fnv32a(key) % uint32(slots))
+}
+
+// fnv32a is 32-bit FNV-1a over key, equal to hash/fnv's New32a without
+// its allocation.
+func fnv32a(key string) uint32 {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return h
 }
 
 // ShardRange is a half-open slot interval [Lo, Hi) a node owns. The
@@ -130,19 +140,19 @@ func (st *Store) NodeDesc() NodeDesc {
 	}
 }
 
-// checkOwnership refuses events outside the node's range. Full-range
-// nodes skip the per-event hash entirely, so the standalone hot path
-// is unchanged. The check runs before any reservation: ownership is a
+// checkOwnership refuses a batch whose event keys include one outside
+// the node's range. Full-range nodes skip the per-event hash entirely,
+// so the standalone hot path is unchanged. The check runs before any reservation: ownership is a
 // routing contract violation, and admitting the in-range half of a
 // misrouted batch would mask it.
-func (st *Store) checkOwnership(evs []report.Event) error {
+func (st *Store) checkOwnership(keys []string) error {
 	if st.fullRange {
 		return nil
 	}
-	for _, ev := range evs {
-		if slot := Slot(ev.Key(), st.cfg.Slots); !st.cfg.Range.Contains(slot) {
+	for _, key := range keys {
+		if slot := Slot(key, st.cfg.Slots); !st.cfg.Range.Contains(slot) {
 			return fmt.Errorf("%w: key %q is slot %d, node %q owns %s",
-				ErrNotOwner, ev.Key(), slot, st.cfg.NodeID, st.cfg.Range)
+				ErrNotOwner, key, slot, st.cfg.NodeID, st.cfg.Range)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,14 +41,24 @@ func TestShardRangeContains(t *testing.T) {
 }
 
 func TestSlotStableAndBounded(t *testing.T) {
-	// The slot function is the cross-process ownership contract: pin a
-	// few known values so an accidental hash change cannot slip by as
-	// "all tests still pass on both sides".
+	// The slot function is the cross-process ownership contract (and
+	// the key→shard mapping is on-disk format): pin both to hash/fnv's
+	// FNV-1a so an accidental hash change cannot slip by as "all tests
+	// still pass on both sides".
+	st := &Store{shards: make([]*shard, 7)}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("app-%d\x1fbomb\x1fuser", i)
 		s := Slot(key, 256)
 		if s < 0 || s >= 256 {
 			t.Fatalf("Slot(%q) = %d out of range", key, s)
+		}
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if want := int(h.Sum32() % 256); s != want {
+			t.Fatalf("Slot(%q) = %d, hash/fnv says %d", key, s, want)
+		}
+		if got, want := st.shardFor(key), int(h.Sum32()%7); got != want {
+			t.Fatalf("shardFor(%q) = %d, hash/fnv says %d", key, got, want)
 		}
 		if again := Slot(key, 256); again != s {
 			t.Fatalf("Slot not deterministic: %d then %d", s, again)

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"bombdroid/internal/obs"
@@ -22,9 +24,10 @@ import (
 // even into idle queues, so a 429 there would never clear.
 const maxRequestEvents = 65536
 
-// maxRequestBytes caps a request body (pre-decompression) so a
-// runaway stream cannot balloon the JSON decoder; at typical event
-// sizes it is far above what maxRequestEvents events occupy.
+// maxRequestBytes caps a request body, both as sent and after gzip
+// inflation, so a runaway stream cannot balloon the JSON decoder; at
+// typical event sizes it is far above what maxRequestEvents events
+// occupy.
 const maxRequestBytes = 64 << 20
 
 // NewHandler wires a Store into marketd's HTTP surface:
@@ -77,11 +80,17 @@ const maxRequestBytes = 64 << 20
 // receive→post-WAL-flush-ack wall time in microseconds — closing the
 // market leg of the per-report latency breakdown, and records the
 // same quantity into the (volatile) market_server_ack_us histogram.
+// The decode layer inside that leg has its own series: the wall time
+// of ReadReports in the volatile market_ingest_decode_us histogram,
+// and the bodies that left its canonical fast path in
+// market_ingest_decode_fallback_total.
 func NewHandler(st *Store) http.Handler {
 	mux := http.NewServeMux()
 	reqs := st.Obs().Counter("market_http_requests_total")
 	traced := st.Obs().Counter("market_traced_requests_total")
 	hAckUs := st.Obs().Histogram("market_server_ack_us", obs.ExpBuckets(50, 4, 12), obs.Volatile())
+	hDecodeUs := st.Obs().Histogram("market_ingest_decode_us", obs.ExpBuckets(50, 4, 12), obs.Volatile())
+	fallbacks := st.Obs().Counter("market_ingest_decode_fallback_total")
 	maxEvents := maxRequestEvents
 	if c := st.cfg.QueueCap * st.cfg.Shards; c < maxEvents {
 		maxEvents = c
@@ -97,7 +106,9 @@ func NewHandler(st *Store) http.Handler {
 				traced.Inc()
 			}
 		}
-		evs, ok := ReadReports(w, r, maxEvents)
+		decodeStart := time.Now()
+		evs, ok := ReadReports(w, r, maxEvents, fallbacks)
+		hDecodeUs.Observe(time.Since(decodeStart).Microseconds())
 		if !ok {
 			return
 		}
@@ -241,12 +252,20 @@ func NewHandler(st *Store) http.Handler {
 
 // ReadReports decodes a POST /v1/reports body — newline-delimited
 // Event JSON, Content-Encoding: gzip honored — enforcing the wire
-// bounds (maxRequestBytes total, MaxEventBytes per event, maxEvents
-// per batch, app/bomb/user present). On any violation it writes the
-// error response itself and reports ok=false. Shared by the node
-// handler above and the cluster router's HTTP front, so both speak
-// byte-identical request contracts.
-func ReadReports(w http.ResponseWriter, r *http.Request, maxEvents int) ([]report.Event, bool) {
+// bounds (maxRequestBytes total, before and after inflation,
+// MaxEventBytes per event, maxEvents per batch, app/bomb/user
+// present). On any violation it writes the error response itself and
+// reports ok=false. Shared by the node handler above and the cluster
+// router's HTTP front, so both speak byte-identical request contracts.
+//
+// Events in the canonical form report.Event.AppendJSON writes are
+// parsed by report.ParseCanonical straight from a small pooled
+// buffer. At the first byte outside that form, the unparsed bytes and
+// the rest of the body go to encoding/json, which decodes everything
+// the wire contract accepts and words every error; fallbacks counts
+// those bodies. Body offsets carry across the switch, so the bounds,
+// status codes and error texts do not depend on which decoder ran.
+func ReadReports(w http.ResponseWriter, r *http.Request, maxEvents int, fallbacks *obs.Counter) ([]report.Event, bool) {
 	body := io.Reader(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if r.Header.Get("Content-Encoding") == "gzip" {
 		zr, err := gzip.NewReader(body)
@@ -255,11 +274,71 @@ func ReadReports(w http.ResponseWriter, r *http.Request, maxEvents int) ([]repor
 			return nil, false
 		}
 		defer zr.Close()
-		body = zr
+		// A small body can inflate without limit; bound what the
+		// decoders see, not only what crossed the wire.
+		body = http.MaxBytesReader(w, zr, maxRequestBytes)
 	}
-	dec := json.NewDecoder(body)
-	var evs []report.Event
-	var prevOff int64
+	rb := reportBatch{w: w, maxEvents: maxEvents}
+	// *bufp stays the pooled array even when buf outgrows it, and no
+	// event keeps a reference into it (ParseCanonical and
+	// encoding/json copy), so it always goes back.
+	bufp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bufp)
+	buf := *bufp
+	var base int64 // body offset of buf[0]
+	start, end := 0, 0
+	var rerr error
+	for {
+		ev, n, short := report.ParseCanonical(buf[start:end])
+		if n > 0 {
+			start += n
+			if !rb.add(ev, base+int64(start)) {
+				return nil, false
+			}
+			continue
+		}
+		if !short {
+			break
+		}
+		// Whitespace between events is not held in buf; the offsets
+		// still count it.
+		for start < end && isSpace(buf[start]) {
+			start++
+		}
+		if rerr == io.EOF && start == end {
+			return rb.evs, true
+		}
+		if rerr != nil || end-start >= MaxEventBytes {
+			// A read error, a truncated event, or an event already past
+			// the per-event bound: encoding/json words the outcome.
+			break
+		}
+		if start > 0 {
+			copy(buf, buf[start:end])
+			base += int64(start)
+			end -= start
+			start = 0
+		}
+		if end == len(buf) {
+			buf = append(buf, make([]byte, len(buf))...)
+		}
+		// Fill buf before parsing again: an event arriving in many
+		// small reads is then re-scanned O(log size) times, not once
+		// per read.
+		for end < len(buf) && rerr == nil {
+			var m int
+			m, rerr = body.Read(buf[end:])
+			end += m
+		}
+	}
+
+	fallbacks.Inc()
+	rest := body
+	if rerr != nil {
+		rest = errReader{rerr}
+	}
+	base += int64(start)
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(buf[start:end]), rest))
 	for {
 		var ev report.Event
 		if err := dec.Decode(&ev); err == io.EOF {
@@ -270,31 +349,64 @@ func ReadReports(w http.ResponseWriter, r *http.Request, maxEvents int) ([]repor
 			if errors.As(err, &mbe) {
 				code = http.StatusRequestEntityTooLarge
 			}
-			http.Error(w, fmt.Sprintf("bad event at index %d: %v", len(evs), err), code)
+			http.Error(w, fmt.Sprintf("bad event at index %d: %v", len(rb.evs), err), code)
 			return nil, false
 		}
-		// Per-event wire bound: an event whose raw JSON alone is
-		// past MaxEventBytes can never be stored (the commit path
-		// re-checks the marshaled size, which escaping can inflate).
-		off := dec.InputOffset()
-		if off-prevOff > MaxEventBytes {
-			http.Error(w, fmt.Sprintf("event at index %d exceeds %d bytes", len(evs), MaxEventBytes),
-				http.StatusRequestEntityTooLarge)
-			return nil, false
-		}
-		prevOff = off
-		if ev.App == "" || ev.Bomb == "" || ev.User == "" {
-			http.Error(w, fmt.Sprintf("event at index %d missing app/bomb/user", len(evs)), http.StatusBadRequest)
-			return nil, false
-		}
-		evs = append(evs, ev)
-		if len(evs) > maxEvents {
-			http.Error(w, fmt.Sprintf("batch exceeds %d events, split it", maxEvents), http.StatusRequestEntityTooLarge)
+		if !rb.add(ev, base+dec.InputOffset()) {
 			return nil, false
 		}
 	}
-	return evs, true
+	return rb.evs, true
 }
+
+// readBufSize is the pooled read buffer: a few events at typical
+// sizes. A body with a longer event grows a private copy.
+const readBufSize = 4 << 10
+
+var readBufPool = sync.Pool{New: func() any {
+	b := make([]byte, readBufSize)
+	return &b
+}}
+
+// reportBatch accumulates one body's events under the per-event wire
+// checks.
+type reportBatch struct {
+	w         http.ResponseWriter
+	maxEvents int
+	evs       []report.Event
+	prevOff   int64
+}
+
+// add checks ev, whose JSON ends at body offset off, and appends it.
+// On a violation it writes the error response and returns false.
+func (b *reportBatch) add(ev report.Event, off int64) bool {
+	// Per-event wire bound: an event whose raw JSON alone is past
+	// MaxEventBytes can never be stored (the commit path re-checks the
+	// encoded size, which escaping can inflate).
+	if off-b.prevOff > MaxEventBytes {
+		http.Error(b.w, fmt.Sprintf("event at index %d exceeds %d bytes", len(b.evs), MaxEventBytes),
+			http.StatusRequestEntityTooLarge)
+		return false
+	}
+	b.prevOff = off
+	if ev.App == "" || ev.Bomb == "" || ev.User == "" {
+		http.Error(b.w, fmt.Sprintf("event at index %d missing app/bomb/user", len(b.evs)), http.StatusBadRequest)
+		return false
+	}
+	b.evs = append(b.evs, ev)
+	if len(b.evs) > b.maxEvents {
+		http.Error(b.w, fmt.Sprintf("batch exceeds %d events, split it", b.maxEvents), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	return true
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\r' || c == '\t' }
+
+// errReader replays a read error the fast path already consumed.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // WriteIngestError maps a Store.Ingest error onto the HTTP contract:
 // 429 + Retry-After for backpressure, 503 + Retry-After for degraded

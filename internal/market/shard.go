@@ -1,7 +1,6 @@
 package market
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,12 +13,14 @@ import (
 	"bombdroid/internal/report"
 )
 
-// ingestReq is one Ingest call's slice of events for a single shard —
-// or, when fp is set, one fingerprint upload riding the same queue,
-// group commit, and WAL flush as the report firehose. done is
-// buffered (cap 1), so the worker never blocks acking.
+// ingestReq is one Ingest call's slice of events for a single shard,
+// with keys[i] == evs[i].Key() computed once by Ingest — or, when fp is
+// set, one fingerprint upload riding the same queue, group commit, and
+// WAL flush as the report firehose. done is buffered (cap 1), so the
+// worker never blocks acking.
 type ingestReq struct {
 	evs  []report.Event
+	keys []string
 	fp   *Fingerprint
 	done chan ingestRes
 }
@@ -183,12 +184,12 @@ func (s *shard) replayRecord(p []byte) error {
 		s.ckpt.records++
 		return nil
 	}
-	ev, err := decodeEvent(p)
+	ev, err := report.DecodeJSON(p)
 	if err != nil {
 		return err
 	}
-	if !s.isDup(ev.Key()) {
-		s.admit(ev)
+	if key := ev.Key(); !s.isDup(key) {
+		s.admit(ev, key)
 	}
 	s.ckpt.records++
 	return nil
@@ -292,20 +293,20 @@ func (s *shard) listCheckpoints() []ckptFile {
 	return out
 }
 
-// admit records one event as accepted: it enters the dedup window and
-// its app's tally. Called — behind the same isDup gate, in identical
-// order — for every event the worker commits and for every record the
-// WAL replays; the two paths must stay byte-for-byte the same or a
-// restart would change verdicts.
-func (s *shard) admit(ev report.Event) {
+// admit records one event, whose Key() is key, as accepted: it enters
+// the dedup window and its app's tally. Called — behind the same isDup
+// gate, in identical order — for every event the worker commits and
+// for every record the WAL replays; the two paths must stay
+// byte-for-byte the same or a restart would change verdicts.
+func (s *shard) admit(ev report.Event, key string) {
 	if len(s.cur) >= s.cfg.DedupWindow {
 		s.prev = s.cur
 		s.cur = make(map[string]struct{}, s.cfg.DedupWindow)
 	}
-	s.cur[ev.Key()] = struct{}{}
+	s.cur[key] = struct{}{}
 	s.mu.Lock()
 	s.apps[ev.App]++
-	s.tlInsertLocked(ev)
+	s.tlInsertLocked(ev, key)
 	s.mu.Unlock()
 }
 
@@ -380,10 +381,15 @@ func (s *shard) commit(batch []ingestReq, total int) {
 		return
 	}
 	results := make([]ingestRes, len(batch))
-	var payloads [][]byte
-	var admitted []report.Event
+	payloads := make([][]byte, 0, total)
+	admitted := make([]report.Event, 0, total)
+	admittedKeys := make([]string, 0, total)
 	var fpApplied []*Fingerprint
-	inBatch := make(map[string]struct{})
+	inBatch := make(map[string]struct{}, total)
+	// Every event record is encoded into buf; each payload is a capped
+	// slice of it. Should buf outgrow its estimate, earlier payloads
+	// keep pointing into the old array, whose bytes never change.
+	buf := make([]byte, 0, encodedSizeHint(batch))
 	var encErr error
 	oversized := 0
 	for bi, req := range batch {
@@ -412,30 +418,29 @@ func (s *shard) commit(batch []ingestReq, total int) {
 			results[bi].accepted++
 			continue
 		}
-		for _, ev := range req.evs {
-			key := ev.Key()
+		for ei, ev := range req.evs {
+			key := req.keys[ei]
 			if _, ok := inBatch[key]; ok || s.isDup(key) {
 				results[bi].dups++
 				continue
 			}
-			b, err := json.Marshal(ev)
-			if err != nil {
-				encErr = err
-				break
-			}
-			if len(b) > MaxEventBytes {
+			lo := len(buf)
+			buf = ev.AppendJSON(buf)
+			if len(buf)-lo > MaxEventBytes {
 				// The WAL cannot hold this record (replay would read it
 				// as corruption), so it must never be acked. Permanent
 				// rejection for this request only; sibling requests in
 				// the group commit are unaffected.
 				results[bi].err = fmt.Errorf("%w: event %q encodes to %d bytes (max %d)",
-					ErrEventTooLarge, ev.Key(), len(b), MaxEventBytes)
+					ErrEventTooLarge, key, len(buf)-lo, MaxEventBytes)
+				buf = buf[:lo]
 				oversized++
 				continue
 			}
 			inBatch[key] = struct{}{}
-			payloads = append(payloads, b)
+			payloads = append(payloads, buf[lo:len(buf):len(buf)])
 			admitted = append(admitted, ev)
+			admittedKeys = append(admittedKeys, key)
 			results[bi].accepted++
 		}
 	}
@@ -453,8 +458,8 @@ func (s *shard) commit(batch []ingestReq, total int) {
 			results[bi] = ingestRes{err: err}
 		}
 	} else {
-		for _, ev := range admitted {
-			s.admit(ev)
+		for i, ev := range admitted {
+			s.admit(ev, admittedKeys[i])
 		}
 		// Fingerprints apply in WAL order (last write wins), to the
 		// worker-owned slice and the store-global index together.
@@ -616,10 +621,16 @@ func (s *shard) close() error {
 	return err
 }
 
-func decodeEvent(b []byte) (report.Event, error) {
-	var ev report.Event
-	if err := json.Unmarshal(b, &ev); err != nil {
-		return report.Event{}, err
+// encodedSizeHint estimates the WAL bytes of the batch's events: their
+// field lengths plus the JSON keys, quotes and widest time_ms. Only
+// escaping makes an event longer than that.
+func encodedSizeHint(batch []ingestReq) int {
+	const overhead = len(`{"app":"","bomb":"","user":"","time_ms":-9223372036854775808,"info":""}`)
+	n := 0
+	for _, req := range batch {
+		for _, ev := range req.evs {
+			n += overhead + len(ev.App) + len(ev.Bomb) + len(ev.User) + len(ev.Info)
+		}
 	}
-	return ev, nil
+	return n
 }

@@ -55,9 +55,10 @@ type appTimeline struct {
 	evicted int64     // entries dropped at index head (the mid-gap)
 }
 
-// tlInsert admits one report into the shard's timeline for ev.App.
-// Caller holds s.mu (the same lock the tallies use).
-func (s *shard) tlInsertLocked(ev report.Event) {
+// tlInsertLocked admits one report, whose Key() is key, into the
+// shard's timeline for ev.App. Caller holds s.mu (the same lock the
+// tallies use).
+func (s *shard) tlInsertLocked(ev report.Event, key string) {
 	if s.cfg.TimelineCap <= 0 {
 		return
 	}
@@ -66,7 +67,7 @@ func (s *shard) tlInsertLocked(ev report.Event) {
 		tl = &appTimeline{}
 		s.tls[ev.App] = tl
 	}
-	e := tlEntry{at: ev.TimeMs, tie: tlTie(ev.Key())}
+	e := tlEntry{at: ev.TimeMs, tie: tlTie(key)}
 	i := sort.Search(len(tl.entries), func(i int) bool { return !tlLess(tl.entries[i], e) })
 	tl.entries = append(tl.entries, tlEntry{})
 	copy(tl.entries[i+1:], tl.entries[i:])

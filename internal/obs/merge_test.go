@@ -92,8 +92,8 @@ func TestWindowedMergeDisjointWindows(t *testing.T) {
 	bounds := []int64{10, 100}
 	a := NewWindowedHistogram(bounds, 1000, 8)
 	b := NewWindowedHistogram(bounds, 1000, 8)
-	a.Observe(5, 0)    // window 0
-	a.Observe(5, 2500) // window 2
+	a.Observe(5, 0)     // window 0
+	a.Observe(5, 2500)  // window 2
 	b.Observe(50, 1200) // window 1
 	b.Observe(50, 3700) // window 3
 
@@ -129,7 +129,7 @@ func TestWindowedMergeDisjointWindows(t *testing.T) {
 func TestWindowedMergeRespectsHorizon(t *testing.T) {
 	bounds := []int64{10}
 	old := NewWindowedHistogram(bounds, 1000, 2) // keep 2 windows
-	old.Observe(1, 0) // window 0 — far behind by merge time
+	old.Observe(1, 0)                            // window 0 — far behind by merge time
 	old.Observe(1, 1000)
 
 	fresh := NewWindowedHistogram(bounds, 1000, 2)

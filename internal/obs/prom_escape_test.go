@@ -13,7 +13,7 @@ func TestEscapeLabelValue(t *testing.T) {
 		{"new\nline", `new\nline`},
 		{"all\\three\"here\n", `all\\three\"here\n`},
 		{"日本語 raw UTF-8", "日本語 raw UTF-8"}, // %q would \u-escape this
-		{"tab\tstays", "tab\tstays"},        // only \ " \n are special
+		{"tab\tstays", "tab\tstays"},       // only \ " \n are special
 		{"", ""},
 	}
 	for _, c := range cases {

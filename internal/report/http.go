@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,15 +59,11 @@ func (s *HTTPSink) DeliverTraced(ev Event, tc *obs.TraceCtx, _ int64) error {
 }
 
 func (s *HTTPSink) post(ev Event, tc *obs.TraceCtx) error {
-	body, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
 	client := s.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	req, err := http.NewRequest(http.MethodPost, s.URL, bytes.NewReader(append(body, '\n')))
+	req, err := http.NewRequest(http.MethodPost, s.URL, bytes.NewReader(append(ev.AppendJSON(nil), '\n')))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSinkDown, err)
 	}

@@ -26,7 +26,9 @@ import (
 
 // Event is one detection report emitted by a device when a bomb's
 // repackaging check fired. The JSON form is the wire format of the
-// market ingestion protocol (one object per line, see internal/market).
+// market ingestion protocol (one object per line, see internal/market)
+// and of the market's WAL records; AppendJSON and ParseCanonical read
+// and write it without reflection.
 type Event struct {
 	App    string `json:"app"`     // package name
 	Bomb   string `json:"bomb"`    // bomb site: the payload class that detected

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: build, vet, race-enabled tests (the metrics-path
-# packages run with the obs layer exercised by their own tests), a 20s
-# fuzz of the similarity index, a smoke run of cmd/report -metrics
+# packages run with the obs layer exercised by their own tests), a
+# gofmt check, 20s fuzzes of the similarity index, the Event JSON codec
+# and the report-body decoder, a smoke run of cmd/report -metrics
 # proving the JSON snapshot parses, batch-protection smokes, a marketd
 # lifecycle smoke (ingest, SIGTERM, restart-replay), a verdict-timeline
 # smoke (campaign → monotone timeline coherent with /verdict,
@@ -20,6 +21,13 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+test -z "$(gofmt -l .)" || {
+	echo "verify: gofmt wants to reformat:" >&2
+	gofmt -l . >&2
+	exit 1
+}
 
 echo "==> go test -race ./internal/vm/..."
 # The quickened interpreter shares mutable state (frame arena, statics
@@ -44,6 +52,17 @@ echo "==> fuzz: similarity index vs a string merge-join oracle (20s)"
 # index: rankings must equal the oracle bit for bit and id churn must
 # never leak ids. New failing inputs land in testdata/fuzz.
 go test -run '^$' -fuzz FuzzIndexRank -fuzztime 20s ./internal/market/similarity
+
+echo "==> fuzz: Event JSON codec vs encoding/json (20s)"
+# AppendJSON must write json.Marshal's bytes for any field values, and
+# whatever the canonical parser accepts must equal json.Unmarshal and
+# end where json.Decoder ends.
+go test -run '^$' -fuzz FuzzEventJSON -fuzztime 20s ./internal/report
+
+echo "==> fuzz: ReadReports vs the encoding/json-only decode (20s)"
+# Plain, gzip and truncated gzip bodies, small batch caps and small
+# reads: events, status code and error text must match the oracle.
+go test -run '^$' -fuzz FuzzReadReports -fuzztime 20s ./internal/market
 
 echo "==> smoke: cmd/report -metrics"
 # writeMetrics round-trips the file through json.Unmarshal before the
