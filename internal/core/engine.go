@@ -68,8 +68,13 @@ type Artifacts struct {
 	Ko            string
 	ResourceCount int
 
-	// Analyze output: the hot-method exclusion set.
-	Hot map[string]bool
+	// Analyze outputs: the hot-method exclusion set, and one analysis
+	// per construct candidate in File.Methods() order.
+	Hot      map[string]bool
+	analyses []methodAnalysis
+	// beforeMethod, when set, sees each candidate on the construct
+	// clone just before it is instrumented (tests only).
+	beforeMethod func(out *dex.File, m *dex.Method, ma *methodAnalysis)
 
 	// Construct/Stego/Validate outputs.
 	Out    *dex.File
@@ -176,7 +181,8 @@ type profileArtifact struct {
 }
 
 type analyzeArtifact struct {
-	hot map[string]bool
+	hot      map[string]bool
+	analyses []methodAnalysis
 }
 
 type resultArtifact struct {
@@ -336,7 +342,7 @@ func stageProfile(ctx context.Context, a *Artifacts) error {
 // Cache layering, checked in order:
 //  1. the whole-result artifact (everything skipped, output cloned);
 //  2. the profile artifact (profiling skipped);
-//  3. the analyze artifact (hot-set computation skipped);
+//  3. the analyze artifact (hot set and per-method analysis skipped);
 //
 // after which construct/stego/validate/repack always run. Cold-path
 // output is byte-identical to BuildProtected over the same inputs.
@@ -442,13 +448,16 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	}
 	err = runCached(StageAnalyze, info.AnalyzeKey, stageAnalyze,
 		func() (any, int64) {
-			size := int64(0)
+			size := analysisBytes(a.analyses)
 			for m := range a.Hot {
 				size += int64(len(m)) + 16
 			}
-			return &analyzeArtifact{hot: a.Hot}, size
+			return &analyzeArtifact{hot: a.Hot, analyses: a.analyses}, size
 		},
-		func(v any) { a.Hot = v.(*analyzeArtifact).hot })
+		func(v any) {
+			aa := v.(*analyzeArtifact)
+			a.Hot, a.analyses = aa.hot, aa.analyses
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -45,13 +45,69 @@ func ProtectCtx(ctx context.Context, file *dex.File, ko string, resourceCount in
 	return a.Result, nil
 }
 
-// stageAnalyze computes the static-analysis artifact: the hot-method
-// exclusion set from the profiling data (paper §7.1, top-10%
-// excluded). It writes only Artifacts.Hot, so the engine can satisfy
-// it from the artifact cache without running it.
+// stageAnalyze computes the static-analysis artifact (paper Fig. 1,
+// step 2; Soot in the paper): the hot-method exclusion set from the
+// profiling data (§7.1, top-10% excluded), then each construct
+// candidate's CFG with loops, liveness and qualified conditions, in
+// File.Methods() order. It reads only the unmodified input file and
+// the hot set, never Opts.Seed, and writes only Artifacts.Hot and the
+// per-method analyses, so the engine can satisfy it from the artifact
+// cache without running it.
+//
+// Analysing the input instead of the construct clone is exact:
+// construct analyses each method before editing it, and its earlier
+// edits only append strings, classes and blobs or rewrite methods
+// already finalized (TestStageAnalyzeMatchesConstructClone).
 func stageAnalyze(ctx context.Context, a *Artifacts) error {
 	a.Hot = hotMethods(a.Opts.Profile, a.Opts.HotFrac)
+	for _, m := range a.File.Methods() {
+		if m.IsSynthetic() || a.Hot[m.FullName()] {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: analyze stage: %w", err)
+		}
+		a.analyses = append(a.analyses, analyzeMethod(a.File, m))
+	}
 	return nil
+}
+
+// methodAnalysis is one construct candidate's static analysis. It is
+// shared by every run that reuses the analyze artifact, concurrent
+// ones included, so construct only reads g and lv and copies qcs.
+type methodAnalysis struct {
+	g   *cfg.Graph
+	lv  *cfg.Liveness
+	qcs []cfg.QC
+}
+
+// analyzeMethod analyses m and detaches the result from f: the graph
+// and QCs drop their method and file pointers, so a cached analysis
+// pins no decoded input and construct binds QCs to its own clone.
+func analyzeMethod(f *dex.File, m *dex.Method) methodAnalysis {
+	g := cfg.Build(f, m)
+	ma := methodAnalysis{g: g, lv: cfg.ComputeLiveness(g), qcs: cfg.FindQCsWithGraph(f, m, g)}
+	g.Method, g.File = nil, nil
+	for i := range ma.qcs {
+		ma.qcs[i].Method = nil
+	}
+	return ma
+}
+
+// analysisBytes roughly sizes per-method analyses for cache accounting.
+func analysisBytes(as []methodAnalysis) int64 {
+	n := int64(0)
+	for _, ma := range as {
+		n += 64 + int64(len(ma.qcs))*104
+		for _, b := range ma.g.Blocks {
+			n += 88 + 8*int64(len(b.Succs)+len(b.Preds))
+		}
+		for i := range ma.lv.In {
+			// Two live sets plus the graph's pc-to-block entry.
+			n += 56 + 8*int64(len(ma.lv.In[i])+len(ma.lv.Out[i]))
+		}
+	}
+	return n
 }
 
 // stageConstruct clones the input dex and plans and applies every
@@ -59,7 +115,7 @@ func stageAnalyze(ctx context.Context, a *Artifacts) error {
 // randomness beyond profiling derives from Opts.Seed here, in
 // candidate-method order, so construction is deterministic for a
 // given (input, options) pair. Cancellation is checked between
-// methods.
+// methods. Each candidate's analysis comes from stageAnalyze.
 func stageConstruct(ctx context.Context, a *Artifacts) error {
 	opts := a.Opts
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -81,15 +137,21 @@ func stageConstruct(ctx context.Context, a *Artifacts) error {
 		candidates = append(candidates, m)
 	}
 	res.Stats.Candidates = len(candidates)
+	if len(candidates) != len(a.analyses) {
+		return fmt.Errorf("core: construct stage: %d candidates but %d analysed methods", len(candidates), len(a.analyses))
+	}
 
 	p := &protector{
 		opts: opts, rng: rng, out: out, res: res, ko: a.Ko,
 	}
-	for _, m := range candidates {
+	for i, m := range candidates {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: construct stage: %w", err)
 		}
-		if err := p.protectMethod(m); err != nil {
+		if a.beforeMethod != nil {
+			a.beforeMethod(out, m, &a.analyses[i])
+		}
+		if err := p.protectMethod(m, &a.analyses[i]); err != nil {
 			return fmt.Errorf("core: instrumenting %s: %w", m.FullName(), err)
 		}
 		p.finalized = append(p.finalized, m)
@@ -207,15 +269,15 @@ func overlaps(a, b sitePlan) bool {
 	return as < be && bs < ae
 }
 
-// protectMethod plans and applies all bomb sites for one method.
-func (p *protector) protectMethod(m *dex.Method) error {
-	g := cfg.Build(p.out, m)
-	lv := cfg.ComputeLiveness(g)
-	qcs := cfg.FindQCsWithGraph(p.out, m, g)
-
+// protectMethod plans and applies all bomb sites for one method from
+// its stage-analyze results. The graph and liveness are shared and
+// only read; the usable QCs are this run's copies, bound to m.
+func (p *protector) protectMethod(m *dex.Method, ma *methodAnalysis) error {
+	g, lv := ma.g, ma.lv
 	var usable []cfg.QC
-	for _, q := range qcs {
+	for _, q := range ma.qcs {
 		if !q.InLoop {
+			q.Method = m
 			usable = append(usable, q)
 		}
 	}

@@ -129,7 +129,7 @@ func Table3Ctx(ctx context.Context, sc Scale) ([]Table3Row, error) {
 		}
 		minMs := cr.MinMs
 		if cr.Successes == 0 || minMs >= sim.NoFirstTrigger {
-			// RunCampaign already normalizes MinMs on its zero-success
+			// sim.Run already normalizes MinMs on its zero-success
 			// path; this guard keeps the 1<<62 accumulator sentinel out
 			// of MinSec even if a future aggregation path skips the
 			// reset.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bombdroid/internal/market/marketfs"
+	"bombdroid/internal/obs"
 	"bombdroid/internal/report"
 )
 
@@ -92,6 +93,37 @@ func TestCheckpointRestartFast(t *testing.T) {
 	}
 	if a, d, err := st2.Ingest(evs); err != nil || a != 0 || d != 100 {
 		t.Fatalf("resubmit = (%d, %d, %v), want (0, 100, nil)", a, d, err)
+	}
+}
+
+// TestCheckpointSeries: the farewell checkpoint Close forces moves
+// its shard's duration histogram once and its byte counter by the
+// snapshot file's size.
+func TestCheckpointSeries(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st, _ := mustOpen(t, Config{Dir: dir, Shards: 1, Obs: reg})
+	hUs := reg.Histogram(obs.L("market_checkpoint_us", "shard", "0"), obs.ExpBuckets(50, 4, 12), obs.Volatile())
+	cBytes := reg.Counter(obs.L("market_checkpoint_bytes_total", "shard", "0"), obs.Volatile())
+	writeEvents(t, st, "app.series", 50)
+	if hUs.Count() != 0 || cBytes.Value() != 0 {
+		t.Fatalf("before any checkpoint: %d observations, %d bytes", hUs.Count(), cBytes.Value())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(obs.L("market_checkpoints_total", "shard", "0")).Value(); got != 1 {
+		t.Fatalf("market_checkpoints_total = %d, want 1", got)
+	}
+	if hUs.Count() != 1 {
+		t.Errorf("market_checkpoint_us observations = %d, want 1", hUs.Count())
+	}
+	fi, err := os.Stat(filepath.Join(dir, "shard-000", ckptName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cBytes.Value() != fi.Size() || fi.Size() == 0 {
+		t.Errorf("market_checkpoint_bytes_total = %d, want the snapshot's %d bytes", cBytes.Value(), fi.Size())
 	}
 }
 

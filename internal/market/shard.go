@@ -100,6 +100,8 @@ type shard struct {
 	cCkptFails *obs.Counter
 	cCompacted *obs.Counter
 	hFlushUs   *obs.Histogram
+	hCkptUs    *obs.Histogram
+	cCkptBytes *obs.Counter
 }
 
 // shardCkptState is the worker-owned checkpoint bookkeeping.
@@ -145,6 +147,13 @@ func newShard(id int, cfg Config, idx *similarity.Index) (*shard, ReplayStats, e
 		// hence Volatile) — the "group-commit flush" leg of the
 		// per-report latency breakdown.
 		hFlushUs: cfg.Obs.Histogram("market_commit_flush_us", obs.ExpBuckets(50, 4, 12), obs.Volatile()),
+		// A checkpoint stalls its shard's worker for its whole write,
+		// so each attempt gets its wall time (ack_us buckets) and the
+		// snapshot bytes it wrote. Snapshot size depends on where
+		// group-commit boundaries fell, so the byte count is Volatile
+		// too.
+		hCkptUs:    cfg.Obs.Histogram(obs.L("market_checkpoint_us", "shard", label), obs.ExpBuckets(50, 4, 12), obs.Volatile()),
+		cCkptBytes: cfg.Obs.Counter(obs.L("market_checkpoint_bytes_total", "shard", label), obs.Volatile()),
 	}
 	s.dir = cfg.Dir + "/" + fmt.Sprintf("shard-%03d", id)
 
@@ -517,7 +526,10 @@ func (s *shard) takeCheckpoint() {
 	if pos == s.ckpt.lastPos {
 		return // nothing new to cover
 	}
-	err := s.writeCheckpoint(pos)
+	t0 := time.Now()
+	n, err := s.writeCheckpoint(pos)
+	s.hCkptUs.Observe(time.Since(t0).Microseconds())
+	s.cCkptBytes.Add(int64(n))
 	if err != nil {
 		s.cCkptFails.Inc()
 		s.ckpt.failures++
@@ -545,11 +557,13 @@ func (s *shard) takeCheckpoint() {
 	}
 }
 
-func (s *shard) writeCheckpoint(pos walPos) error {
+// writeCheckpoint commits the snapshot covering pos and returns the
+// bytes it wrote to the snapshot file.
+func (s *shard) writeCheckpoint(pos walPos) (int, error) {
 	// The snapshot must never claim bytes the disk does not hold: sync
 	// the WAL first, even when routine commits run without Fsync.
 	if err := s.w.Sync(); err != nil {
-		return err
+		return 0, err
 	}
 	s.mu.Lock()
 	apps := make(map[string]int64, len(s.apps))
@@ -586,23 +600,24 @@ func (s *shard) writeCheckpoint(pos walPos) error {
 	tmp := final + ".tmp"
 	f, err := s.cfg.FS.Create(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := f.Write(enc); err != nil {
+	n, err := f.Write(enc)
+	if err != nil {
 		f.Close()
-		return err
+		return n, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return n, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return n, err
 	}
 	if err := s.cfg.FS.Rename(tmp, final); err != nil {
-		return err
+		return n, err
 	}
-	return s.cfg.FS.SyncDir(s.dir)
+	return n, s.cfg.FS.SyncDir(s.dir)
 }
 
 // close stops the worker (after the queue drains), takes a farewell

@@ -74,21 +74,6 @@ func (r ChaosCampaignResult) ExactlyOnce() bool {
 	return r.SinkUnique == r.UniqueDetects && (r.UniqueDetects == 0 || r.SinkMaxPerKey == 1)
 }
 
-// RunChaosCampaign plays a fault-injected campaign with background
-// context.
-//
-// Deprecated: use RunChaos.
-func RunChaosCampaign(pkg *apk.Package, surf Surface, opts ChaosOptions) (ChaosCampaignResult, error) {
-	return RunChaos(context.Background(), pkg, surf, opts)
-}
-
-// RunChaosCampaignCtx is RunChaosCampaign with cancellation.
-//
-// Deprecated: use RunChaos.
-func RunChaosCampaignCtx(ctx context.Context, pkg *apk.Package, surf Surface, opts ChaosOptions) (ChaosCampaignResult, error) {
-	return RunChaos(ctx, pkg, surf, opts)
-}
-
 // RunChaos plays a population of user sessions against the packaged
 // app with the profile's faults injected at every layer: ciphertext
 // corruption at decrypt time, dex bit rot at load time, environment

@@ -282,28 +282,6 @@ type CampaignOptions struct {
 	Reg *obs.Registry
 }
 
-// RunCampaign plays n user sessions on population-sampled devices,
-// fanned across one worker per CPU.
-//
-// Deprecated: use Run.
-func RunCampaign(pkg *apk.Package, surf Surface, n int, capMs int64, seed int64) (CampaignResult, error) {
-	return Run(context.Background(), pkg, surf, CampaignOptions{N: n, CapMs: capMs, Seed: seed})
-}
-
-// RunCampaignWorkers plays n user sessions on up to workers goroutines.
-//
-// Deprecated: use Run.
-func RunCampaignWorkers(pkg *apk.Package, surf Surface, n int, capMs int64, seed int64, workers int) (CampaignResult, error) {
-	return Run(context.Background(), pkg, surf, CampaignOptions{N: n, CapMs: capMs, Seed: seed, Workers: workers})
-}
-
-// RunCampaignObs is RunCampaignWorkers with a context and registry.
-//
-// Deprecated: use Run.
-func RunCampaignObs(ctx context.Context, pkg *apk.Package, surf Surface, n int, capMs int64, seed int64, workers int, reg *obs.Registry) (CampaignResult, error) {
-	return Run(ctx, pkg, surf, CampaignOptions{N: n, CapMs: capMs, Seed: seed, Workers: workers, Reg: reg})
-}
-
 // Run plays opts.N user sessions on population-sampled devices — the
 // canonical campaign entry point (the measurement behind Table 3 and
 // the population half of the market-response scenario). The campaign

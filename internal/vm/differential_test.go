@@ -29,14 +29,17 @@ type diffPair struct {
 }
 
 // newDiffPair installs pkg twice with identical options (bar the
-// interpreter selection). Each VM gets its own device instance and obs
-// registry so nothing is shared but the immutable image.
-func newDiffPair(t *testing.T, pkg *apk.Package, opts Options) *diffPair {
+// interpreter selection). Each VM gets its own device instance, and
+// with withObs its own obs registry, so nothing is shared but the
+// immutable image.
+func newDiffPair(t *testing.T, pkg *apk.Package, opts Options, withObs bool) *diffPair {
 	t.Helper()
 	build := func(ref bool) *VM {
 		o := opts
 		o.Reference = ref
-		o.Obs = obs.NewRegistry()
+		if withObs {
+			o.Obs = obs.NewRegistry()
+		}
 		v, err := New(pkg, android.EmulatorLab(1)[0], o)
 		if err != nil {
 			t.Fatalf("install (reference=%v): %v", ref, err)
@@ -44,6 +47,21 @@ func newDiffPair(t *testing.T, pkg *apk.Package, opts Options) *diffPair {
 		return v
 	}
 	return &diffPair{q: build(false), r: build(true)}
+}
+
+// instrumentation is one way of watching a diff pair. The quickened
+// loop specializes on both knobs, so scenarios run each way: watched
+// (an obs registry and a trace ring) and bare (neither), which is how
+// campaign sessions, fuzz.Profile and the benchmark run.
+type instrumentation struct {
+	name       string
+	obs        bool
+	traceDepth int
+}
+
+// bothWays is the watched configuration at traceDepth, then the bare one.
+func bothWays(traceDepth int) []instrumentation {
+	return []instrumentation{{"watched", true, traceDepth}, {"bare", false, 0}}
 }
 
 // valueEq compares two dex.Values structurally. Arrays compare by
@@ -226,31 +244,34 @@ func TestDifferentialCorpus(t *testing.T) {
 		t.Fatalf("sampled %d apps, want one per category (%d)", len(apps), len(appgen.Categories))
 	}
 	for _, app := range apps {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			pkg := signApp(t, app.Name, app.File)
-			p := newDiffPair(t, pkg, Options{Seed: 11, Profile: true, TraceDepth: 128})
-			for _, init := range p.q.InitMethods() {
-				p.invoke(t, init)
+			for _, way := range bothWays(128) {
+				t.Run(way.name, func(t *testing.T) {
+					pkg := signApp(t, app.Name, app.File)
+					p := newDiffPair(t, pkg, Options{Seed: 11, Profile: true, TraceDepth: way.traceDepth}, way.obs)
+					for _, init := range p.q.InitMethods() {
+						p.invoke(t, init)
+					}
+					handlers := p.q.Handlers()
+					if len(handlers) == 0 {
+						t.Fatal("corpus app has no handlers")
+					}
+					rng := rand.New(rand.NewSource(app.Config.Seed))
+					dom := app.Config.ParamDomain
+					if dom <= 0 {
+						dom = 16
+					}
+					for ev := 0; ev < 120; ev++ {
+						h := handlers[rng.Intn(len(handlers))]
+						p.invoke(t, h, dex.Int64(rng.Int63n(dom)), dex.Int64(rng.Int63n(dom)))
+						gap := 200 + rng.Int63n(500)
+						if err1, err2 := p.q.AdvanceIdle(gap), p.r.AdvanceIdle(gap); errStr(err1) != errStr(err2) {
+							t.Fatalf("AdvanceIdle errors diverge: %v vs %v", err1, err2)
+						}
+					}
+					p.finish(t)
+				})
 			}
-			handlers := p.q.Handlers()
-			if len(handlers) == 0 {
-				t.Fatal("corpus app has no handlers")
-			}
-			rng := rand.New(rand.NewSource(app.Config.Seed))
-			dom := app.Config.ParamDomain
-			if dom <= 0 {
-				dom = 16
-			}
-			for ev := 0; ev < 120; ev++ {
-				h := handlers[rng.Intn(len(handlers))]
-				p.invoke(t, h, dex.Int64(rng.Int63n(dom)), dex.Int64(rng.Int63n(dom)))
-				gap := 200 + rng.Int63n(500)
-				if err1, err2 := p.q.AdvanceIdle(gap), p.r.AdvanceIdle(gap); errStr(err1) != errStr(err2) {
-					t.Fatalf("AdvanceIdle errors diverge: %v vs %v", err1, err2)
-				}
-			}
-			p.finish(t)
 		})
 	}
 }
@@ -267,46 +288,55 @@ func TestDifferentialPayload(t *testing.T) {
 			name = "repackaged"
 		}
 		t.Run(name, func(t *testing.T) {
-			devKey, err := apk.NewKeyPair(101)
-			if err != nil {
-				t.Fatal(err)
+			for _, way := range bothWays(256) {
+				t.Run(way.name, func(t *testing.T) {
+					diffPayload(t, f, repackaged, way)
+				})
 			}
-			patched := patchPayloadKey(t, f, devKey.PublicKeyHex())
-			pkg, err := apk.Sign(apk.Build("test.app", patched, apk.Resources{
-				Strings: []string{"Tap to start"}, Author: "dev", Icon: []byte{1},
-			}), devKey)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if repackaged {
-				attacker, err := apk.NewKeyPair(999)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pkg, err = apk.Repackage(pkg, attacker, apk.RepackOptions{NewAuthor: "pirate"})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			p := newDiffPair(t, pkg, Options{Seed: 7, Profile: true, TraceDepth: 256})
-			p.invoke(t, "App.add", dex.Int64(20), dex.Int64(22))
-			p.invoke(t, "App.classify", dex.Int64(2))
-			p.invoke(t, "App.classify", dex.Int64(99))
-			p.invoke(t, "App.bump")
-			p.invoke(t, "App.bump")
-			p.invoke(t, "App.sum3")
-			p.invoke(t, "App.greet", dex.Str("user"))
-			p.invoke(t, "App.callAdd")
-			p.invoke(t, "App.readEnv")
-			p.invoke(t, "App.armBomb", dex.Int64(5))    // wrong constant: bomb stays sealed
-			p.invoke(t, "App.armBomb", dex.Int64(1234)) // true constant: decrypt + detonate path
-			p.invoke(t, "App.add", dex.Int64(1))        // arity mismatch fault
-			p.invoke(t, "App.spin")                     // budget exhaustion
-			p.invoke(t, "App.recurse")                  // depth exhaustion
-			p.invoke(t, "App.nope")                     // no such method
-			p.finish(t)
 		})
 	}
+}
+
+// diffPayload is one TestDifferentialPayload scenario.
+func diffPayload(t *testing.T, f *dex.File, repackaged bool, way instrumentation) {
+	devKey, err := apk.NewKeyPair(101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := patchPayloadKey(t, f, devKey.PublicKeyHex())
+	pkg, err := apk.Sign(apk.Build("test.app", patched, apk.Resources{
+		Strings: []string{"Tap to start"}, Author: "dev", Icon: []byte{1},
+	}), devKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repackaged {
+		attacker, err := apk.NewKeyPair(999)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err = apk.Repackage(pkg, attacker, apk.RepackOptions{NewAuthor: "pirate"})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := newDiffPair(t, pkg, Options{Seed: 7, Profile: true, TraceDepth: way.traceDepth}, way.obs)
+	p.invoke(t, "App.add", dex.Int64(20), dex.Int64(22))
+	p.invoke(t, "App.classify", dex.Int64(2))
+	p.invoke(t, "App.classify", dex.Int64(99))
+	p.invoke(t, "App.bump")
+	p.invoke(t, "App.bump")
+	p.invoke(t, "App.sum3")
+	p.invoke(t, "App.greet", dex.Str("user"))
+	p.invoke(t, "App.callAdd")
+	p.invoke(t, "App.readEnv")
+	p.invoke(t, "App.armBomb", dex.Int64(5))    // wrong constant: bomb stays sealed
+	p.invoke(t, "App.armBomb", dex.Int64(1234)) // true constant: decrypt + detonate path
+	p.invoke(t, "App.add", dex.Int64(1))        // arity mismatch fault
+	p.invoke(t, "App.spin")                     // budget exhaustion
+	p.invoke(t, "App.recurse")                  // depth exhaustion
+	p.invoke(t, "App.nope")                     // no such method
+	p.finish(t)
 }
 
 // TestDifferentialPayloadFailClosed pins the fault-ledger parity when
@@ -331,7 +361,7 @@ func TestDifferentialPayloadFailClosed(t *testing.T) {
 		}
 		return bad
 	}
-	p := newDiffPair(t, pkg, Options{Seed: 7, FailClosed: true, BlobFault: corrupt})
+	p := newDiffPair(t, pkg, Options{Seed: 7, FailClosed: true, BlobFault: corrupt}, true)
 	p.invoke(t, "App.armBomb", dex.Int64(1234))
 	p.invoke(t, "App.forceDecrypt", dex.Int64(0))
 	if len(p.q.Faults()) == 0 {
@@ -464,37 +494,8 @@ func TestDifferentialRandomCode(t *testing.T) {
 			})
 		}
 		file := badFile(6, code, tables...)
-		// Trace on for some files; obs accounting comes with fuzzVM's
-		// nil registry either way, so compare steps/clock/result only.
-		opts := Options{MaxSteps: 2_000, MaxDepth: 8}
-		if fi%3 == 0 {
-			opts.TraceDepth = 64
-		}
-		vq := fuzzVM(file, opts)
-		ro := opts
-		ro.Reference = true
-		vr := fuzzVM(file, ro)
-		qres, qerr := vq.Invoke("Bad.m")
-		rres, rerr := vr.Invoke("Bad.m")
-		if errStr(qerr) != errStr(rerr) {
-			t.Fatalf("file %d: errors diverge:\n  quickened: %s\n  reference: %s\n  code: %+v",
-				fi, errStr(qerr), errStr(rerr), code)
-		}
-		if !valueEq(qres, rres, 8) {
-			t.Fatalf("file %d: results diverge: %v vs %v\n  code: %+v", fi, qres, rres, code)
-		}
-		if vq.steps != vr.steps || vq.NowTicks() != vr.NowTicks() {
-			t.Fatalf("file %d: accounting diverges: steps %d/%d ticks %d/%d\n  code: %+v",
-				fi, vq.steps, vr.steps, vq.NowTicks(), vr.NowTicks(), code)
-		}
-		qt, rt := vq.Trace(), vr.Trace()
-		if len(qt) != len(rt) {
-			t.Fatalf("file %d: trace lengths diverge: %d vs %d", fi, len(qt), len(rt))
-		}
-		for i := range qt {
-			if qt[i] != rt[i] {
-				t.Fatalf("file %d: trace[%d] diverges: %+v vs %+v", fi, i, qt[i], rt[i])
-			}
+		for _, way := range bothWays(64) {
+			diffRandomFile(t, fmt.Sprintf("file %d %s", fi, way.name), file, way)
 		}
 	}
 }
@@ -553,7 +554,7 @@ func TestDifferentialCostOnlyCalls(t *testing.T) {
 	opts := Options{Seed: 3, Profile: true, TraceDepth: 64}
 
 	t.Run("quickened", func(t *testing.T) {
-		p := newDiffPair(t, pkg, opts)
+		p := newDiffPair(t, pkg, opts, true)
 		nops := 0
 		for _, in := range p.q.app.q.byName["App.render"].code {
 			if in.op == qCallAPINop {
@@ -565,13 +566,13 @@ func TestDifferentialCostOnlyCalls(t *testing.T) {
 		}
 	})
 	t.Run("no hooks", func(t *testing.T) {
-		p := newDiffPair(t, pkg, opts)
+		p := newDiffPair(t, pkg, opts, true)
 		p.invoke(t, "App.render", dex.Int64(40))
 		p.invoke(t, "App.tap")
 		p.finish(t)
 	})
 	t.Run("observer between invokes", func(t *testing.T) {
-		p := newDiffPair(t, pkg, opts)
+		p := newDiffPair(t, pkg, opts, true)
 		p.invoke(t, "App.render", dex.Int64(25))
 		var seen [2][]string
 		for k, v := range []*VM{p.q, p.r} {
@@ -591,7 +592,7 @@ func TestDifferentialCostOnlyCalls(t *testing.T) {
 		p.finish(t)
 	})
 	t.Run("hook returns non-nil", func(t *testing.T) {
-		p := newDiffPair(t, pkg, opts)
+		p := newDiffPair(t, pkg, opts, true)
 		p.invoke(t, "App.render", dex.Int64(10))
 		for _, v := range []*VM{p.q, p.r} {
 			v.Hook(dex.APIVibrate, func(c APICall) (dex.Value, bool, error) {
@@ -661,7 +662,7 @@ func TestDifferentialProfileShadowedName(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := newDiffPair(t, signApp(t, "shadow.app", f), Options{Seed: 1, Profile: true})
+	p := newDiffPair(t, signApp(t, "shadow.app", f), Options{Seed: 1, Profile: true}, true)
 	p.invoke(t, "App.fire")
 	p.invoke(t, "App.fire")
 	if got := p.q.Profile()["App.bump"]; got != 4 {
@@ -676,4 +677,49 @@ func TestDifferentialProfileShadowedName(t *testing.T) {
 		t.Fatalf("profile after reset = %v, want only App.bump:1", got)
 	}
 	p.finish(t)
+}
+
+// diffRandomFile runs one random file's Bad.m on both paths and
+// compares result, error, accounting, trace and, when watched, the obs
+// opcode tallies.
+func diffRandomFile(t *testing.T, name string, file *dex.File, way instrumentation) {
+	t.Helper()
+	opts := Options{MaxSteps: 2_000, MaxDepth: 8, TraceDepth: way.traceDepth}
+	build := func(ref bool) *VM {
+		o := opts
+		o.Reference = ref
+		if way.obs {
+			o.Obs = obs.NewRegistry()
+		}
+		return fuzzVM(file, o)
+	}
+	vq, vr := build(false), build(true)
+	qres, qerr := vq.Invoke("Bad.m")
+	rres, rerr := vr.Invoke("Bad.m")
+	code := file.Methods()[0].Code
+	if errStr(qerr) != errStr(rerr) {
+		t.Fatalf("%s: errors diverge:\n  quickened: %s\n  reference: %s\n  code: %+v",
+			name, errStr(qerr), errStr(rerr), code)
+	}
+	if !valueEq(qres, rres, 8) {
+		t.Fatalf("%s: results diverge: %v vs %v\n  code: %+v", name, qres, rres, code)
+	}
+	if vq.steps != vr.steps || vq.NowTicks() != vr.NowTicks() {
+		t.Fatalf("%s: accounting diverges: steps %d/%d ticks %d/%d\n  code: %+v",
+			name, vq.steps, vr.steps, vq.NowTicks(), vr.NowTicks(), code)
+	}
+	qt, rt := vq.Trace(), vr.Trace()
+	if len(qt) != len(rt) {
+		t.Fatalf("%s: trace lengths diverge: %d vs %d", name, len(qt), len(rt))
+	}
+	for i := range qt {
+		if qt[i] != rt[i] {
+			t.Fatalf("%s: trace[%d] diverges: %+v vs %+v", name, i, qt[i], rt[i])
+		}
+	}
+	for op := range vq.obsOps {
+		if vq.obsOps[op] != vr.obsOps[op] {
+			t.Fatalf("%s: obs op count for %s diverges: %d vs %d", name, dex.Op(op), vq.obsOps[op], vr.obsOps[op])
+		}
+	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification: build, vet, race-enabled tests (the metrics-path
 # packages run with the obs layer exercised by their own tests), a
-# gofmt check, 20s fuzzes of the similarity index, the Event JSON codec
-# and the report-body decoder, a smoke run of cmd/report -metrics
+# gofmt check, vet and short tests of the cmd/benchrun module, 20s
+# fuzzes of the similarity index, the Event JSON codec and the
+# report-body decoder, a smoke run of cmd/report -metrics
 # proving the JSON snapshot parses, batch-protection smokes, a marketd
 # lifecycle smoke (ingest, SIGTERM, restart-replay), a verdict-timeline
 # smoke (campaign → monotone timeline coherent with /verdict,
@@ -40,12 +41,18 @@ echo "==> differential smoke: quickened vs reference interpreter"
 # The differential harness replays the corpus sample, the payload
 # suite, malformed files, and random code on both interpreter paths
 # and asserts byte-identical results, traces, fault ledgers, and obs
-# counters. -count=1 defeats the test cache so the smoke always
+# counters; corpus, payload and random code run both watched (obs +
+# trace) and bare (neither, as campaigns and the benchmark run). -count=1 defeats the test cache so the smoke always
 # re-executes.
 go test -run 'TestDifferential' -count=1 ./internal/vm
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> benchmark module: go vet + go test -short (cmd/benchrun)"
+# cmd/benchrun is its own module, so ./... above never compiles it,
+# yet it drives the core, exp, sim and market APIs end to end.
+(cd cmd/benchrun && go vet ./... && go test -short .)
 
 echo "==> fuzz: similarity index vs a string merge-join oracle (20s)"
 # Random Set/replace/Delete/Rank sequences against the interned-id
