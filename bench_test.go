@@ -20,7 +20,6 @@ import (
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
 	"bombdroid/internal/artifact"
-	"bombdroid/internal/attack"
 	"bombdroid/internal/chaos"
 	"bombdroid/internal/core"
 	"bombdroid/internal/dex"
@@ -254,19 +253,6 @@ func benchApp(b *testing.B) (*appgen.App, *apk.Package, *apk.KeyPair) {
 	return app, pkg, key
 }
 
-func BenchmarkProtect(b *testing.B) {
-	app, pkg, key := benchApp(b)
-	_ = app
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, res, err := core.ProtectPackage(pkg, key, core.Options{Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Stats.Bombs()), "bombs")
-	}
-}
-
 func BenchmarkInterpreter(b *testing.B) {
 	app, pkg, _ := benchApp(b)
 	v, err := vm.New(pkg, android.EmulatorLab(1)[0], vm.Options{Seed: 1})
@@ -386,7 +372,11 @@ func BenchmarkInvokeObs(b *testing.B) {
 func BenchmarkSymbolicExecution(b *testing.B) {
 	app, pkg, key := benchApp(b)
 	_ = app
-	prot, _, err := core.ProtectPackage(pkg, key, core.Options{Seed: 3})
+	built, err := (&core.Engine{Opts: core.Options{Seed: 3}}).Run(context.Background(), pkg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prot, err := apk.Sign(built.Unsigned, key)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -417,95 +407,21 @@ func BenchmarkDexCodec(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ---
 
-// BenchmarkAblationSalt: per-bomb salts vs one global salt — a shared
-// salt lets one precomputed table serve every bomb with the same
-// constant (duplicate Hc values give it away).
-func BenchmarkAblationSalt(b *testing.B) {
-	app, pkg, key := benchApp(b)
-	_ = app
-	for i := 0; i < b.N; i++ {
-		dup := func(opts core.Options) float64 {
-			_, res, err := core.ProtectPackage(pkg, key, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seen := map[string]int{}
-			for _, bomb := range res.Bombs {
-				hc := bomb.Salt + "|" + bomb.Const.String()
-				if opts.GlobalSalt != "" {
-					hc = bomb.Const.String()
-				}
-				seen[hc]++
-			}
-			dups := 0
-			for _, n := range seen {
-				if n > 1 {
-					dups += n - 1
-				}
-			}
-			return float64(dups)
-		}
-		b.ReportMetric(dup(core.Options{Seed: 5}), "dup_keys_salted")
-		b.ReportMetric(dup(core.Options{Seed: 5, GlobalSalt: "fixed"}), "dup_keys_global")
-	}
-}
-
-// BenchmarkAblationDoubleTrigger: single- vs double-trigger bombs
-// under one virtual hour of Dynodroid in the attacker lab.
-func BenchmarkAblationDoubleTrigger(b *testing.B) {
-	app, pkg, key := benchApp(b)
-	for i := 0; i < b.N; i++ {
-		triggered := func(single bool) float64 {
-			prot, res, err := core.ProtectPackage(pkg, key, core.Options{Seed: 5, SingleTrigger: single})
-			if err != nil {
-				b.Fatal(err)
-			}
-			attacker, err := apk.NewKeyPair(404)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pirated, err := apk.Repackage(prot, attacker, apk.RepackOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			v, err := vm.NewUnverified(pirated, android.EmulatorLab(1)[0], vm.Options{Seed: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := fuzz.Run(v, fuzz.NewDynodroid(), app.Config.ParamDomain, fuzz.Options{
-				DurationMs:     60 * 60_000,
-				Seed:           3,
-				HandlerScreens: app.HandlerScreens,
-				ScreenField:    app.ScreenField,
-				WatchFields:    app.IntFieldRefs,
-			})
-			total := len(res.RealBombs())
-			if total == 0 {
-				return 0
-			}
-			return 100 * float64(len(r.DetectionRuns)) / float64(total)
-		}
-		b.ReportMetric(triggered(true), "single_trigger_pct")
-		b.ReportMetric(triggered(false), "double_trigger_pct")
-	}
-}
-
 // BenchmarkAblationHotMethods: bombing hot methods vs excluding them —
-// the overhead impact of the paper's top-10% exclusion.
+// the overhead impact of the paper's top-10% exclusion. Both arms
+// profile alike (and share the profile artifact); HotFrac -1 excludes
+// nothing.
 func BenchmarkAblationHotMethods(b *testing.B) {
 	app, pkg, key := benchApp(b)
-	profVM, err := vm.New(pkg, android.EmulatorLab(1)[0], vm.Options{Seed: 1, Profile: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	profile, fieldVals := fuzz.Profile(profVM, app.Config.ParamDomain, 2500, app.IntFieldRefs, 1)
+	store := artifact.NewStore(64 << 20)
+	prof := core.ProfileConfig{Events: 2500, Domain: app.Config.ParamDomain, Seed: 1, Watch: app.IntFieldRefs}
 	measure := func(hotFrac float64) float64 {
-		opts := core.Options{Seed: 5, Profile: profile, FieldValues: fieldVals, HotFrac: hotFrac}
-		if hotFrac < 0 {
-			opts.Profile = nil // no exclusion at all
-			opts.HotFrac = 0
+		eng := &core.Engine{Opts: core.Options{Seed: 5, HotFrac: hotFrac}, Prof: prof, Cache: store}
+		built, err := eng.Run(context.Background(), pkg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		prot, _, err := core.ProtectPackage(pkg, key, opts)
+		prot, err := apk.Sign(built.Unsigned, key)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -528,91 +444,6 @@ func BenchmarkAblationHotMethods(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(measure(0.10), "overhead_pct_hot_excluded")
 		b.ReportMetric(measure(-1), "overhead_pct_no_exclusion")
-	}
-}
-
-// BenchmarkAblationDeletion: weaving + bogus bombs on vs off, against
-// the delete-everything attack — corruption rate of the mutilated app.
-func BenchmarkAblationDeletion(b *testing.B) {
-	app, pkg, key := benchApp(b)
-	corruption := func(noWeave bool) float64 {
-		opts := core.Options{Seed: 5, NoWeave: noWeave}
-		if noWeave {
-			opts.BogusFrac = -1 // disable (withDefaults keeps negatives)
-		}
-		prot, _, err := core.ProtectPackage(pkg, key, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		file, err := prot.DexFile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		del := attack.DeleteSuspiciousCode(file)
-		attacker, err := apk.NewKeyPair(405)
-		if err != nil {
-			b.Fatal(err)
-		}
-		broken, err := apk.Sign(apk.Build("bench", del.File, pkg.Res), attacker)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Compare trajectories against the intact protected app.
-		rng := rand.New(rand.NewSource(3))
-		dev := android.SamplePopulation("u", rng)
-		vb, err := vm.New(broken, dev.Clone(), vm.Options{Seed: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		vp, err := vm.New(prot, dev.Clone(), vm.Options{Seed: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		diverged := 0
-		const events = 1200
-		for i := 0; i < events; i++ {
-			h := app.Handlers[rng.Intn(len(app.Handlers))]
-			x, y := dex.Int64(rng.Int63n(64)), dex.Int64(rng.Int63n(64))
-			_, e1 := vb.Invoke(h, x, y)
-			_, e2 := vp.Invoke(h, x, y)
-			if vm.AbnormalExit(e1) != vm.AbnormalExit(e2) {
-				diverged++
-				continue
-			}
-			for _, ref := range app.IntFieldRefs {
-				if !vb.Static(ref).Equal(vp.Static(ref)) {
-					diverged++
-					break
-				}
-			}
-		}
-		return 100 * float64(diverged) / float64(events)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(corruption(false), "corruption_pct_woven")
-		b.ReportMetric(corruption(true), "corruption_pct_noweave")
-	}
-}
-
-// BenchmarkAblationAlpha: artificial-QC density vs bombs and size.
-func BenchmarkAblationAlpha(b *testing.B) {
-	_, pkg, key := benchApp(b)
-	for i := 0; i < b.N; i++ {
-		for _, alpha := range []float64{0.10, 0.25, 0.50} {
-			_, res, err := core.ProtectPackage(pkg, key, core.Options{Seed: 5, Alpha: alpha})
-			if err != nil {
-				b.Fatal(err)
-			}
-			switch alpha {
-			case 0.10:
-				b.ReportMetric(float64(res.Stats.BombsArtificial), "artificial_a10")
-			case 0.25:
-				b.ReportMetric(float64(res.Stats.BombsArtificial), "artificial_a25")
-			default:
-				b.ReportMetric(float64(res.Stats.BombsArtificial), "artificial_a50")
-			}
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,7 +25,11 @@ func protectedAPK(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, _, err := core.ProtectPackage(orig, key, core.Options{Seed: 5})
+	built, err := (&core.Engine{Opts: core.Options{Seed: 5}}).Run(context.Background(), orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := apk.Sign(built.Unsigned, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	fs.Float64Var(&c.alpha, "alpha", 0.25, "fraction of candidate methods given artificial QCs")
 	fs.BoolVar(&c.single, "single-trigger", false, "disable inner (environment) triggers")
 	fs.BoolVar(&c.noWeave, "no-weave", false, "disable code weaving")
-	fs.IntVar(&c.profileEvents, "profile-events", 10_000, "profiling events for hot-method detection")
+	fs.IntVar(&c.profileEvents, "profile-events", 10_000, "profiling events for hot-method detection and artificial-QC values (0 = no profiling)")
 	fs.Int64Var(&c.domain, "domain", 64, "handler parameter domain for profiling")
 	fs.StringVar(&c.reportPath, "report", "", "write the bomb inventory here (single mode)")
 	fs.Int64Var(&c.seed, "seed", 42, "instrumentation seed")

@@ -270,4 +270,15 @@ func TestSingleModePrintsStageTimings(t *testing.T) {
 			t.Errorf("single-mode output missing stage %q:\n%s", stage, buf.String())
 		}
 	}
+
+	// -profile-events 0 turns profiling off: no profile stage runs.
+	buf.Reset()
+	if err := run(context.Background(), &buf, []string{
+		"-in", in, "-out", out, "-keyseed", "1", "-profile-events", "0",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "stage profile") || !strings.Contains(buf.String(), "stage analyze") {
+		t.Errorf("unprofiled run's stages:\n%s", buf.String())
+	}
 }

@@ -8,7 +8,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
@@ -17,60 +19,72 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run tells the story on w.
+func run(w io.Writer) error {
 	app, err := appgen.Generate(appgen.Config{Name: "beatbox", Seed: 33, TargetLOC: 2400, QCPerMethod: 1.2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	devKey, err := apk.NewKeyPair(8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	orig, err := apk.Sign(apk.Build("beatbox", app.File, apk.Resources{Strings: []string{"Play"}}), devKey)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	prot, _, err := core.ProtectPackage(orig, devKey, core.Options{Seed: 33})
+	out, err := (&core.Engine{Opts: core.Options{Seed: 33}}).Run(context.Background(), orig)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	prot, err := apk.Sign(out.Unsigned, devKey)
+	if err != nil {
+		return err
 	}
 	pirate, err := apk.NewKeyPair(4242)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pirated, err := apk.Repackage(prot, pirate, apk.RepackOptions{NewAuthor: "FreeAppz"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	surf := sim.SurfaceOf(app)
 	const downloads = 60
-	fmt.Printf("'FreeAppz' uploads a repackaged beatbox; %d users download it\n\n", downloads)
+	fmt.Fprintf(w, "'FreeAppz' uploads a repackaged beatbox; %d users download it\n\n", downloads)
 	cr, err := sim.Run(context.Background(), pirated, surf, sim.CampaignOptions{N: downloads, CapMs: 30 * 60_000, Seed: 12})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("within the first sessions:\n")
-	fmt.Printf("  %d/%d users hit a detonated bomb\n", cr.Successes, cr.Sessions)
-	fmt.Printf("  fastest detonation: %.0fs; average: %.0fs\n",
+	fmt.Fprintf(w, "within the first sessions:\n")
+	fmt.Fprintf(w, "  %d/%d users hit a detonated bomb\n", cr.Successes, cr.Sessions)
+	fmt.Fprintf(w, "  fastest detonation: %.0fs; average: %.0fs\n",
 		float64(cr.MinMs)/1000, float64(cr.AvgMs)/1000)
-	fmt.Printf("  %d users suffered crashes/freezes/warnings -> 1-star reviews\n", cr.Complaints)
-	fmt.Printf("  %d piracy reports reached the original developer\n\n", cr.Reports)
+	fmt.Fprintf(w, "  %d users suffered crashes/freezes/warnings -> 1-star reviews\n", cr.Complaints)
+	fmt.Fprintf(w, "  %d piracy reports reached the original developer\n\n", cr.Reports)
 
 	stars := 5.0 - 4.0*float64(cr.Complaints)/float64(cr.Sessions)
-	fmt.Printf("market listing rating collapses to ~%.1f stars\n", stars)
+	fmt.Fprintf(w, "market listing rating collapses to ~%.1f stars\n", stars)
 	if cr.Reports > 0 {
-		fmt.Println("the developer files a takedown with evidence from the reports;")
-		fmt.Println("on Google Play, the Remote Application Removal Feature wipes the")
-		fmt.Println("repackaged app from victim devices (paper §1).")
+		fmt.Fprintln(w, "the developer files a takedown with evidence from the reports;")
+		fmt.Fprintln(w, "on Google Play, the Remote Application Removal Feature wipes the")
+		fmt.Fprintln(w, "repackaged app from victim devices (paper §1).")
 	}
 
 	// Control: the same fleet on the genuine app.
-	fmt.Println()
+	fmt.Fprintln(w)
 	gc, err := sim.Run(context.Background(), prot, surf, sim.CampaignOptions{N: 20, CapMs: 10 * 60_000, Seed: 13})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("control (genuine app, 20 users): %d complaints, %d reports — silent as designed\n",
+	fmt.Fprintf(w, "control (genuine app, 20 users): %d complaints, %d reports — silent as designed\n",
 		gc.Complaints, gc.Reports)
+	return nil
 }

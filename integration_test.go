@@ -41,15 +41,20 @@ func TestEndToEnd(t *testing.T) {
 
 	// 2. BombDroid protects it (full Fig. 1 pipeline, all detection
 	// methods, §10 muting off so every detonation is visible).
-	protected, res, err := core.ProtectPackage(original, devKey, core.Options{
+	built, err := (&core.Engine{Opts: core.Options{
 		Seed: 99,
 		Detections: []core.DetectionMethod{
 			core.DetectPublicKey, core.DetectDigest, core.DetectSnippet, core.DetectIcon,
 		},
-	})
+	}}).Run(context.Background(), original)
 	if err != nil {
 		t.Fatal(err)
 	}
+	protected, err := apk.Sign(built.Unsigned, devKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := built.Result
 	if res.Stats.Bombs() < 10 {
 		t.Fatalf("too few bombs: %d", res.Stats.Bombs())
 	}

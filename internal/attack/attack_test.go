@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,10 +42,15 @@ func build(t *testing.T, seed int64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, protRes, err := core.ProtectPackage(orig, key, core.Options{Seed: seed})
+	built, err := (&core.Engine{Opts: core.Options{Seed: seed}}).Run(context.Background(), orig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prot, err := apk.Sign(built.Unsigned, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protRes := built.Result
 	naive, err := baseline.ProtectNaive(app.File, key.PublicKeyHex(), baseline.NaiveOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)

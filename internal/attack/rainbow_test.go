@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	"bombdroid/internal/apk"
@@ -27,7 +28,11 @@ func TestRainbowSaltEconomics(t *testing.T) {
 	}
 
 	protect := func(globalSalt string) int {
-		prot, _, err := core.ProtectPackage(orig, key, core.Options{Seed: 6, GlobalSalt: globalSalt})
+		built, err := (&core.Engine{Opts: core.Options{Seed: 6, GlobalSalt: globalSalt}}).Run(context.Background(), orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prot, err := apk.Sign(built.Unsigned, key)
 		if err != nil {
 			t.Fatal(err)
 		}

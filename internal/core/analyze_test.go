@@ -45,7 +45,7 @@ func TestStageAnalyzeMatchesConstructClone(t *testing.T) {
 			profile[m.FullName()] = int64(i)
 		}
 		a := &Artifacts{File: app.File, Ko: "ko", ResourceCount: 2,
-			Opts: Options{Profile: profile}.withDefaults()}
+			Opts: Options{}.withDefaults(), Profile: profile}
 		if err := stageAnalyze(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -38,10 +39,7 @@ func protectApp(t *testing.T, cfg appgen.Config, opts Options) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signed, res, err := ProtectPackage(original, devKey, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	signed, res := protectSigned(t, original, devKey, opts)
 	attacker, err := apk.NewKeyPair(666)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +84,37 @@ func drive(v *vm.VM, seed int64, n int, domain int64) error {
 
 func smallCfg(seed int64) appgen.Config {
 	return appgen.Config{Name: "t", Seed: seed, TargetLOC: 1800}
+}
+
+// protectSigned runs pkg through an engine without profiling and
+// signs the output with devKey, as the developer would.
+func protectSigned(t *testing.T, pkg *apk.Package, devKey *apk.KeyPair, opts Options) (*apk.Package, *Result) {
+	t.Helper()
+	p, err := (&Engine{Opts: opts}).Run(context.Background(), pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed, err := apk.Sign(p.Unsigned, devKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return signed, p.Result
+}
+
+// runStages takes a through the stages the engine runs after unpack
+// and profile, so a test can stand in for those two with a profile no
+// profiling run would record.
+func runStages(t *testing.T, a *Artifacts) *Result {
+	t.Helper()
+	a.Opts = a.Opts.withDefaults()
+	for _, stage := range []func(context.Context, *Artifacts) error{
+		stageAnalyze, stageConstruct, stageStego, stageValidate,
+	} {
+		if err := stage(context.Background(), a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a.Result
 }
 
 func TestProtectInjectsBombs(t *testing.T) {
@@ -243,10 +272,7 @@ func TestHotMethodsExcluded(t *testing.T) {
 	for i, m := range app.File.Methods() {
 		profile[m.FullName()] = int64(1000 - i) // first methods hottest
 	}
-	res, err := Protect(app.File, "ko", 0, Options{Seed: 1, Profile: profile})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runStages(t, &Artifacts{File: app.File, Ko: "ko", Opts: Options{Seed: 1}, Profile: profile})
 	if res.Stats.HotExcluded == 0 {
 		t.Fatal("no hot methods excluded")
 	}
@@ -271,10 +297,7 @@ func TestArtificialUsesObservedValues(t *testing.T) {
 		"App.ivar0": {dex.Int64(3), dex.Int64(9), dex.Int64(12), dex.Int64(44), dex.Int64(51)},
 		"App.svar0": {dex.Str("menu")},
 	}
-	res, err := Protect(app.File, "ko", 0, Options{Seed: 3, FieldValues: fv, Alpha: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runStages(t, &Artifacts{File: app.File, Ko: "ko", Opts: Options{Seed: 3, Alpha: 0.9}, FieldValues: fv})
 	arts := 0
 	for _, b := range res.Bombs {
 		if b.Source != SourceArtificial {
@@ -303,23 +326,14 @@ func TestArtificialUsesObservedValues(t *testing.T) {
 }
 
 func TestSingleTriggerOption(t *testing.T) {
-	app, err := appgen.Generate(smallCfg(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Protect(app.File, "ko", 0, Options{Seed: 4, SingleTrigger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg, devKey, _ := signedApp(t, smallCfg(17))
+	_, res := protectSigned(t, pkg, devKey, Options{Seed: 4, SingleTrigger: true})
 	for _, b := range res.RealBombs() {
 		if len(b.Inner.Constraints) != 0 {
 			t.Fatalf("single-trigger bomb %s has inner condition %s", b.ID, b.Inner)
 		}
 	}
-	res2, err := Protect(app.File, "ko", 0, Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res2 := protectSigned(t, pkg, devKey, Options{Seed: 4})
 	withInner := 0
 	for _, b := range res2.RealBombs() {
 		if len(b.Inner.Constraints) > 0 {
@@ -455,32 +469,49 @@ func TestBogusBombDeletionCorruptsApp(t *testing.T) {
 	}
 }
 
-func TestBuildProtectedLeavesSigningToDeveloper(t *testing.T) {
-	h := protectApp(t, smallCfg(31), Options{Seed: 8})
-	u, res, err := BuildProtected(h.original, Options{Seed: 8})
+// TestEngineLeavesSigningToDeveloper: the engine emits an unsigned
+// package (the original resources plus the stego strings) that only
+// the developer's key turns into one carrying the original Ko.
+func TestEngineLeavesSigningToDeveloper(t *testing.T) {
+	pkg, devKey, _ := signedApp(t, smallCfg(31))
+	p, err := (&Engine{Opts: Options{Seed: 8, Detections: []DetectionMethod{DetectDigest}}}).Run(context.Background(), pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bombs) == 0 {
-		t.Fatal("no bombs")
+	if len(p.Result.Bombs) == 0 || len(p.Result.StegoStrings) == 0 {
+		t.Fatalf("want bombs and stego strings, got %d and %d", len(p.Result.Bombs), len(p.Result.StegoStrings))
 	}
-	if len(u.Res.Strings) != len(h.original.Res.Strings)+len(res.StegoStrings) {
+	if len(p.Unsigned.Res.Strings) != len(pkg.Res.Strings)+len(p.Result.StegoStrings) {
 		t.Error("stego strings not appended")
 	}
-	// A mismatched signer is rejected by ProtectPackage.
-	wrong, _ := apk.NewKeyPair(3333)
-	if _, _, err := ProtectPackage(h.original, wrong, Options{}); err == nil {
-		t.Error("wrong developer key must be rejected")
+	signed, err := apk.Sign(p.Unsigned, devKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if signed.PublicKeyHex() != pkg.PublicKeyHex() {
+		t.Error("developer-signed output does not carry the original key")
 	}
 }
 
 func TestOptionsDefaultsAndStrings(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Alpha != 0.25 || o.HotFrac != 0.10 || o.PLo != 0.1 || o.PHi != 0.2 {
+	if o.Alpha != 0.25 || o.HotFrac != 0.10 || o.PLo != 0.1 || o.PHi != 0.2 ||
+		o.BogusFrac != 0.5 || o.ExistingFrac != 0.5 || o.MaxBombsPerMethod != 2 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	if !o.DoubleTrigger || !o.Weave {
+	if len(o.Detections) != 1 || o.Detections[0] != DetectPublicKey || len(o.Responses) != 5 {
+		t.Errorf("default detections %v, responses %v", o.Detections, o.Responses)
+	}
+	if o.SingleTrigger || o.NoWeave {
 		t.Error("double trigger and weaving should default on")
+	}
+	// Without events no other profiling setting can matter, so all
+	// unprofiled configurations key alike.
+	if p := (ProfileConfig{Domain: 9, Seed: 4, Watch: []string{"A.f"}}).withDefaults(); p.Events != 0 || p.Domain != 0 || p.Seed != 0 || p.Watch != nil {
+		t.Errorf("unprofiled config not canonical: %+v", p)
+	}
+	if p := (ProfileConfig{Events: 5}).withDefaults(); p.Domain != 64 {
+		t.Errorf("profile domain default = %d, want 64", p.Domain)
 	}
 	for _, d := range []DetectionMethod{DetectPublicKey, DetectDigest, DetectSnippet} {
 		if d.String() == "?" {
@@ -498,14 +529,8 @@ func TestOptionsDefaultsAndStrings(t *testing.T) {
 }
 
 func TestMaxBombsCap(t *testing.T) {
-	app, err := appgen.Generate(smallCfg(37))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Protect(app.File, "ko", 0, Options{Seed: 9, MaxBombs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg, devKey, _ := signedApp(t, smallCfg(37))
+	_, res := protectSigned(t, pkg, devKey, Options{Seed: 9, MaxBombs: 5})
 	if got := res.Stats.Bombs(); got > 5 {
 		t.Errorf("real bombs = %d, cap 5", got)
 	}

@@ -25,7 +25,9 @@ func newProfileVM(in *apk.Package, seed int64) (*vm.VM, error) {
 // pipeline (unpack → profile → static analysis → bomb construction →
 // stego → validate → repack) as explicit named stages over a typed
 // artifact blackboard, with content-addressed caching of the
-// expensive early stages and per-stage observability.
+// expensive early stages and per-stage observability. Engine.Run is
+// the only way to protect an app; signing its unsigned output stays
+// with the developer (apk.Sign).
 //
 // Key derivation chains: the profile key covers the input key plus
 // the profiling configuration; the analyze key covers the profile key
@@ -49,24 +51,27 @@ const (
 	StageRepack    StageName = "repack"
 )
 
-// StageOrder is the canonical pipeline order.
-var StageOrder = []StageName{
-	StageUnpack, StageProfile, StageAnalyze, StageConstruct,
-	StageStego, StageValidate, StageRepack,
-}
-
 // Artifacts is the typed blackboard stages read and write. Each stage
 // consumes fields earlier stages produced and fills in its own.
 type Artifacts struct {
 	// Inputs.
-	In   *apk.Package // signed input package (nil for Protect-only runs)
+	In   *apk.Package // signed input package
 	Opts Options
 	Prof ProfileConfig
 
-	// Unpack outputs.
+	// Unpack outputs. IconDigest/AuthorDigest are the input manifest's
+	// icon and author digests, which DetectIcon bombs hide fragments of.
 	File          *dex.File
 	Ko            string
 	ResourceCount int
+	IconDigest    string
+	AuthorDigest  string
+
+	// Profile outputs: method invocation counts and the observed values
+	// of each watched static field, which artificial QCs draw their
+	// constants from (paper §7.2). Both stay nil when profiling is off.
+	Profile     map[string]int64
+	FieldValues map[string][]dex.Value
 
 	// Analyze outputs: the hot-method exclusion set, and one analysis
 	// per construct candidate in File.Methods() order.
@@ -85,25 +90,14 @@ type Artifacts struct {
 	Unsigned *apk.Unsigned
 }
 
-// Stage is one named pipeline step.
-type Stage struct {
-	Name StageName
-	Run  func(ctx context.Context, a *Artifacts) error
-}
-
-// protectStages is the dex-level slice of the pipeline — what
-// Protect/ProtectCtx run on an already-unpacked file.
-var protectStages = []Stage{
-	{StageAnalyze, stageAnalyze},
-	{StageConstruct, stageConstruct},
-	{StageStego, stageStego},
-	{StageValidate, stageValidate},
-}
-
 // ProfileConfig configures the engine's profiling stage (paper §7.1:
 // Dynodroid + Traceview on a stock emulator).
 type ProfileConfig struct {
-	Events int   // profiling events; 0 = 10,000 (the paper's run)
+	// Events is the number of profiling events (the paper ran 10,000).
+	// 0 turns profiling off: the profile stage does not run, no method
+	// counts as hot, and artificial QCs fall back to declared field
+	// initial values.
+	Events int
 	Domain int64 // handler parameter domain; 0 = 64
 	Seed   int64 // profiling RNG seed
 	// Watch lists the static fields whose values profiling records for
@@ -113,7 +107,7 @@ type ProfileConfig struct {
 
 func (p ProfileConfig) withDefaults() ProfileConfig {
 	if p.Events == 0 {
-		p.Events = 10_000
+		return ProfileConfig{} // no profiling: nothing else can matter
 	}
 	if p.Domain == 0 {
 		p.Domain = 64
@@ -149,14 +143,16 @@ type Protected struct {
 	Unsigned *apk.Unsigned
 	Result   *Result
 	// Profile/FieldValues are the profiling stage's outputs (possibly
-	// cache-satisfied), for callers that feed them onward.
+	// cache-satisfied, nil without profiling), for callers that feed
+	// them onward.
 	Profile     map[string]int64
 	FieldValues map[string][]dex.Value
 	Info        RunInfo
 }
 
 // Engine runs the full staged pipeline over signed packages. The
-// zero-value Engine works: no cache, no metrics, default options.
+// zero-value Engine works: no cache, no metrics, the paper's default
+// options and no profiling.
 type Engine struct {
 	Opts Options
 	Prof ProfileConfig
@@ -250,18 +246,18 @@ func analyzeKey(profKey artifact.Key, hotFrac float64) artifact.Key {
 // resultKey covers the whole run: input, profiling provenance, and
 // every construction option. Options must already have defaults
 // applied so semantically equal configurations key identically.
+// Whatever unpack derives from the package (the icon and author
+// digests among it) is covered by the input key.
 func resultKey(input, profKey artifact.Key, o Options) artifact.Key {
-	f := artifact.NewFingerprint("bombdroid/protect/v1")
+	f := artifact.NewFingerprint("bombdroid/protect/v2")
 	f.Key(input).Key(profKey)
 	f.Int(o.Seed).F64(o.Alpha).F64(o.HotFrac)
 	f.F64(o.PLo).F64(o.PHi)
-	f.Bool(o.DoubleTrigger).Bool(o.SingleTrigger)
-	f.Bool(o.Weave).Bool(o.NoWeave).F64(o.BogusFrac)
+	f.Bool(o.SingleTrigger).Bool(o.NoWeave).F64(o.BogusFrac)
 	f.Int(int64(len(o.Detections)))
 	for _, d := range o.Detections {
 		f.Int(int64(d))
 	}
-	f.Str(o.IconDigest).Str(o.AuthorDigest)
 	f.Int(int64(len(o.Responses)))
 	for _, r := range o.Responses {
 		f.Int(int64(r))
@@ -332,7 +328,7 @@ func stageProfile(ctx context.Context, a *Artifacts) error {
 	if err != nil {
 		return fmt.Errorf("core: profile stage: %w", err)
 	}
-	a.Opts.Profile, a.Opts.FieldValues = fuzz.Profile(profVM, a.Prof.Domain, a.Prof.Events, watch, a.Prof.Seed)
+	a.Profile, a.FieldValues = fuzz.Profile(profVM, a.Prof.Domain, a.Prof.Events, watch, a.Prof.Seed)
 	return nil
 }
 
@@ -344,10 +340,9 @@ func stageProfile(ctx context.Context, a *Artifacts) error {
 //  2. the profile artifact (profiling skipped);
 //  3. the analyze artifact (hot set and per-method analysis skipped);
 //
-// after which construct/stego/validate/repack always run. Cold-path
-// output is byte-identical to BuildProtected over the same inputs.
-// Engine.Run owns profiling: caller-set Opts.Profile/FieldValues are
-// overwritten by the profile stage's (possibly cached) output.
+// after which construct/stego/validate/repack always run. With
+// Prof.Events 0 the profile stage is skipped and absent from
+// Info.Stages.
 func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	opts := e.Opts.withDefaults()
 	prof := e.Prof.withDefaults()
@@ -434,19 +429,21 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 		return nil, err
 	}
 	// Layer 2/3: profile and analyze artifacts, content-addressed.
-	err := runCached(StageProfile, info.ProfileKey, stageProfile,
-		func() (any, int64) {
-			pa := &profileArtifact{profile: a.Opts.Profile, fieldVals: a.Opts.FieldValues}
-			return pa, mapBytes(pa.profile, pa.fieldVals)
-		},
-		func(v any) {
-			pa := v.(*profileArtifact)
-			a.Opts.Profile, a.Opts.FieldValues = pa.profile, pa.fieldVals
-		})
-	if err != nil {
-		return nil, err
+	if prof.Events > 0 {
+		err := runCached(StageProfile, info.ProfileKey, stageProfile,
+			func() (any, int64) {
+				pa := &profileArtifact{profile: a.Profile, fieldVals: a.FieldValues}
+				return pa, mapBytes(pa.profile, pa.fieldVals)
+			},
+			func(v any) {
+				pa := v.(*profileArtifact)
+				a.Profile, a.FieldValues = pa.profile, pa.fieldVals
+			})
+		if err != nil {
+			return nil, err
+		}
 	}
-	err = runCached(StageAnalyze, info.AnalyzeKey, stageAnalyze,
+	err := runCached(StageAnalyze, info.AnalyzeKey, stageAnalyze,
 		func() (any, int64) {
 			size := analysisBytes(a.analyses)
 			for m := range a.Hot {
@@ -461,19 +458,22 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range []Stage{
+	for _, st := range []struct {
+		name StageName
+		fn   func(ctx context.Context, a *Artifacts) error
+	}{
 		{StageConstruct, stageConstruct},
 		{StageStego, stageStego},
 		{StageValidate, stageValidate},
 		{StageRepack, stageRepack},
 	} {
-		if err := run(st.Name, st.Run); err != nil {
+		if err := run(st.name, st.fn); err != nil {
 			return nil, err
 		}
 	}
 
 	p.Unsigned, p.Result = a.Unsigned, a.Result
-	p.Profile, p.FieldValues = a.Opts.Profile, a.Opts.FieldValues
+	p.Profile, p.FieldValues = a.Profile, a.FieldValues
 	if e.Cache != nil {
 		// Cache a deep clone, not the live objects the caller gets —
 		// caller mutations must never reach future cache hits.

@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
 	"bombdroid/internal/artifact"
 	"bombdroid/internal/dex"
-	"bombdroid/internal/fuzz"
 	"bombdroid/internal/obs"
 )
 
@@ -33,70 +33,57 @@ func signedApp(t *testing.T, cfg appgen.Config) (*apk.Package, *apk.KeyPair, *ap
 	return pkg, devKey, app
 }
 
-// TestEngineColdMatchesBuildProtected pins the refactor's core
-// promise: a cold engine run produces byte-identical output to the
-// pre-engine pipeline (manual profile + BuildProtected) over the same
-// inputs.
-func TestEngineColdMatchesBuildProtected(t *testing.T) {
-	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
-	prof := ProfileConfig{Events: 800, Domain: 32, Seed: 7}
-	opts := Options{Seed: 3}
-
-	e := &Engine{Opts: opts, Prof: prof}
-	got, err := e.Run(context.Background(), pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The legacy path, by hand: profile with the same configuration,
-	// then BuildProtected.
-	file, err := pkg.DexFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var watch []string
-	for _, c := range file.Classes {
-		for _, f := range c.Fields {
-			watch = append(watch, c.Name+"."+f.Name)
+// TestEngineGoldenDigests pins the packed, developer-signed output of
+// a profiled run and of runs without profiling. The digests were
+// recorded before the engine became the only protection path: the
+// profiled one from the engine itself, the unprofiled ones from the
+// old uncached entry point (BuildProtected, with no profile), so a
+// zero-Events engine is proven to reproduce that path byte for byte.
+func TestEngineGoldenDigests(t *testing.T) {
+	pkg, devKey, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	all := []DetectionMethod{DetectPublicKey, DetectDigest, DetectSnippet, DetectIcon}
+	for _, tc := range []struct {
+		name   string
+		e      Engine
+		stages []StageName
+		want   string
+	}{
+		{"profiled", Engine{Opts: Options{Seed: 3}, Prof: ProfileConfig{Events: 800, Domain: 32, Seed: 7}},
+			[]StageName{StageUnpack, StageProfile, StageAnalyze, StageConstruct, StageStego, StageValidate, StageRepack},
+			"37975d9c4e7b8a840c3cbb76b79ea1845ad6cef31f7ab8f4108d3b56bb382a0d"},
+		{"no-profile", Engine{Opts: Options{Seed: 3}},
+			[]StageName{StageUnpack, StageAnalyze, StageConstruct, StageStego, StageValidate, StageRepack},
+			"5cec5adc79518bc4d3ecb9c041af36e398c6553716ceecd49d8d0f7d27e98814"},
+		{"no-profile-all-detections", Engine{Opts: Options{Seed: 3, Detections: all}},
+			[]StageName{StageUnpack, StageAnalyze, StageConstruct, StageStego, StageValidate, StageRepack},
+			"261b338dc32d46133bdea5843777b1e018d289bd57c1129cfaaaef83868ab837"},
+	} {
+		p, err := tc.e.Run(context.Background(), pkg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	profVM, err := newProfileVM(pkg, prof.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyOpts := opts
-	legacyOpts.Profile, legacyOpts.FieldValues = fuzz.Profile(profVM, prof.Domain, prof.Events, watch, prof.Seed)
-	want, wantRes, err := BuildProtected(pkg, legacyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(got.Unsigned.Dex, want.Dex) {
-		t.Error("engine dex differs from the legacy pipeline's")
-	}
-	if len(got.Unsigned.Res.Strings) != len(want.Res.Strings) {
-		t.Fatalf("resource strings: %d vs %d", len(got.Unsigned.Res.Strings), len(want.Res.Strings))
-	}
-	for i := range want.Res.Strings {
-		if got.Unsigned.Res.Strings[i] != want.Res.Strings[i] {
-			t.Fatalf("resource string %d differs", i)
+		signed, err := apk.Sign(p.Unsigned, devKey)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got.Result.Stats != wantRes.Stats {
-		t.Errorf("stats differ:\n got %+v\nwant %+v", got.Result.Stats, wantRes.Stats)
-	}
-	// An uncached engine reports every stage as run, none cached.
-	if got.Info.CacheHits != 0 {
-		t.Errorf("cache hits on a cacheless engine: %d", got.Info.CacheHits)
-	}
-	wantStages := []StageName{StageUnpack, StageProfile, StageAnalyze,
-		StageConstruct, StageStego, StageValidate, StageRepack}
-	if len(got.Info.Stages) != len(wantStages) {
-		t.Fatalf("stage timings: %+v", got.Info.Stages)
-	}
-	for i, st := range wantStages {
-		if got.Info.Stages[i].Stage != st {
-			t.Errorf("stage %d = %s, want %s", i, got.Info.Stages[i].Stage, st)
+		packed, err := apk.Pack(signed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := apk.DigestHex(packed); got != tc.want {
+			t.Errorf("%s: protected digest drifted:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		// An uncached engine reports every stage it ran, none cached.
+		if p.Info.CacheHits != 0 {
+			t.Errorf("%s: cache hits on a cacheless engine: %d", tc.name, p.Info.CacheHits)
+		}
+		if len(p.Info.Stages) != len(tc.stages) {
+			t.Fatalf("%s: stage timings: %+v", tc.name, p.Info.Stages)
+		}
+		for i, st := range tc.stages {
+			if p.Info.Stages[i].Stage != st {
+				t.Errorf("%s: stage %d = %s, want %s", tc.name, i, p.Info.Stages[i].Stage, st)
+			}
 		}
 	}
 }
@@ -246,16 +233,12 @@ func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := &Engine{Prof: ProfileConfig{Events: 600, Domain: 32, Seed: 7}}
-	if _, err := e.Run(ctx, pkg); err == nil {
-		t.Fatal("cancelled engine run succeeded")
+	if _, err := e.Run(ctx, pkg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled engine run: err = %v, want context.Canceled", err)
 	}
-	// ProtectCtx honors cancellation too.
-	file, err := pkg.DexFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ProtectCtx(ctx, file, pkg.PublicKeyHex(), 0, Options{Seed: 1}); err == nil {
-		t.Fatal("cancelled ProtectCtx succeeded")
+	// So does a run without profiling.
+	if _, err := (&Engine{Opts: Options{Seed: 1}}).Run(ctx, pkg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled unprofiled run: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -264,18 +247,16 @@ func TestEngineCancellation(t *testing.T) {
 // string must still round-trip to the final classes.dex digest
 // fragment.
 func TestStegoCoverWrapRoundTrips(t *testing.T) {
-	app, err := appgen.Generate(appgen.Config{Name: "st", Seed: 23, TargetLOC: 2600, QCPerMethod: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Protect(app.File, "ko", 0, Options{
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "st", Seed: 23, TargetLOC: 2600, QCPerMethod: 1.5})
+	p, err := (&Engine{Opts: Options{
 		Seed:       4,
 		Detections: []DetectionMethod{DetectDigest},
 		Alpha:      0.6,
-	})
+	}}).Run(context.Background(), pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := p.Result
 	if len(res.StegoStrings) <= 5 {
 		t.Fatalf("need more stego strings than covers to exercise wrapping, got %d", len(res.StegoStrings))
 	}

@@ -31,14 +31,11 @@ func TestIconDetectionFiresOnIconSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, res, err := ProtectPackage(orig, key, Options{
+	prot, res := protectSigned(t, orig, key, Options{
 		Seed:       11,
 		Detections: []DetectionMethod{DetectIcon},
 		Responses:  []vm.ResponseKind{vm.RespWarn},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	iconBombs := 0
 	for _, b := range res.RealBombs() {
 		if b.Detect == DetectIcon {
@@ -109,14 +106,11 @@ func TestIconDetectionIgnoresPureResign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, _, err := ProtectPackage(orig, key, Options{
+	prot, _ := protectSigned(t, orig, key, Options{
 		Seed:       12,
 		Detections: []DetectionMethod{DetectIcon},
 		Responses:  []vm.ResponseKind{vm.RespWarn},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	attacker, err := apk.NewKeyPair(84)
 	if err != nil {
 		t.Fatal(err)

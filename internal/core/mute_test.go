@@ -32,10 +32,7 @@ func runPirated(t *testing.T, opts Options, seed int64) (int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, _, err := ProtectPackage(orig, key, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prot, _ := protectSigned(t, orig, key, opts)
 	attacker, err := apk.NewKeyPair(72)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +102,7 @@ func TestMuteStillWeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, res, err := ProtectPackage(orig, key, Options{Seed: 10, MuteAfterFirst: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prot, res := protectSigned(t, orig, key, Options{Seed: 10, MuteAfterFirst: true})
 	if res.Stats.Woven == 0 {
 		t.Skip("no woven bombs this seed")
 	}

@@ -82,53 +82,41 @@ func (s BombSource) String() string {
 	return "?"
 }
 
-// Options configures protection. Zero values select the paper's
-// defaults.
+// Options configures bomb construction. Zero values select the
+// paper's defaults. Everything derived from the input package — its
+// profile, its icon and author digests — is the engine's to compute
+// and lives on Artifacts, not here.
 type Options struct {
 	Seed int64
 
 	// Alpha is the fraction of candidate methods receiving an
 	// artificial qualified condition (paper: α = 0.25).
 	Alpha float64
-	// HotFrac is the fraction of most-invoked methods excluded from
-	// instrumentation (paper: top 10%).
+	// HotFrac is the fraction of most-invoked methods, by the profile
+	// stage's invocation counts, excluded from instrumentation (paper:
+	// top 10%). Negative excludes none; so does a run without
+	// profiling.
 	HotFrac float64
-	// Profile holds method invocation counts from a profiling run
-	// (Dynodroid + Traceview in the paper). Empty means no hot-method
-	// exclusion.
-	Profile map[string]int64
-	// FieldValues holds observed value sets per static field from
-	// profiling, used to pick high-entropy fields and in-domain
-	// constants for artificial QCs (paper §7.2).
-	FieldValues map[string][]dex.Value
 
 	// PLo/PHi bound the inner trigger satisfaction probability
 	// (paper: [0.1, 0.2]).
 	PLo, PHi float64
-	// DoubleTrigger enables inner conditions (§6). Disabling yields
-	// single-trigger bombs (the ablation baseline).
-	DoubleTrigger bool
-	// SingleTrigger disables the inner condition when set (the
-	// inverse of DoubleTrigger; kept explicit for ablations).
+	// SingleTrigger drops the inner environment condition (§6), giving
+	// single-trigger bombs (the ablation baseline). By default every
+	// real bomb is double-trigger.
 	SingleTrigger bool
 
-	// Weave moves guarded app code into payloads where liftable (§3.4).
-	Weave bool
-	// NoWeave disables weaving (ablation).
+	// NoWeave stops moving guarded app code into payloads (§3.4; the
+	// ablation baseline). By default liftable regions are woven.
 	NoWeave bool
 	// BogusFrac is the fraction of remaining weavable QCs turned into
 	// bogus bombs.
 	BogusFrac float64
 
 	// Detections rotates among these methods; empty means public key
-	// only (the paper's prototype).
+	// only (the paper's prototype). DetectIcon falls back to public-key
+	// comparison when the input package carries no icon digest.
 	Detections []DetectionMethod
-	// IconDigest/AuthorDigest are the manifest digests of the input
-	// package's icon and author entries; BuildProtected fills them so
-	// DetectIcon bombs can embed stego fragments of the originals.
-	// When empty, DetectIcon falls back to public-key comparison.
-	IconDigest   string
-	AuthorDigest string
 	// Responses rotates among these; empty means the full §4.2 set.
 	Responses []vm.ResponseKind
 	// DelayResponseMs schedules responses this far in the future
@@ -170,12 +158,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PLo == 0 && o.PHi == 0 {
 		o.PLo, o.PHi = 0.1, 0.2
-	}
-	if !o.SingleTrigger {
-		o.DoubleTrigger = true
-	}
-	if !o.NoWeave {
-		o.Weave = true
 	}
 	if o.BogusFrac == 0 {
 		o.BogusFrac = 0.5

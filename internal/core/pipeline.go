@@ -24,8 +24,8 @@ func stageUnpack(ctx context.Context, a *Artifacts) error {
 	a.File = file
 	a.Ko = ko
 	a.ResourceCount = len(a.In.Res.Strings)
-	a.Opts.IconDigest = a.In.Manifest.DigestOf(apk.EntryIcon)
-	a.Opts.AuthorDigest = a.In.Manifest.DigestOf(apk.EntryAuthor)
+	a.IconDigest = a.In.Manifest.DigestOf(apk.EntryIcon)
+	a.AuthorDigest = a.In.Manifest.DigestOf(apk.EntryAuthor)
 	return nil
 }
 
@@ -36,52 +36,4 @@ func stageRepack(ctx context.Context, a *Artifacts) error {
 	newRes.Strings = append(newRes.Strings, a.Result.StegoStrings...)
 	a.Unsigned = apk.Build(a.In.Name, a.Result.File, newRes)
 	return nil
-}
-
-// BuildProtected runs the full Figure-1 pipeline on a signed input
-// package: unpack, extract the public key from CERT.RSA, instrument,
-// and emit the protected *unsigned* package plus the protection
-// record. The unsigned output "will be sent to the legitimate
-// developer to sign the app; the private key is kept by the
-// legitimate developer and is not disclosed to BombDroid".
-//
-// This is the uncached path: it assumes Options.Profile is already
-// populated (or absent). The Engine runs the same stages with
-// profiling and artifact caching on top.
-func BuildProtected(in *apk.Package, opts Options) (*apk.Unsigned, *Result, error) {
-	return BuildProtectedCtx(context.Background(), in, opts)
-}
-
-// BuildProtectedCtx is BuildProtected with cancellation.
-func BuildProtectedCtx(ctx context.Context, in *apk.Package, opts Options) (*apk.Unsigned, *Result, error) {
-	a := &Artifacts{In: in, Opts: opts.withDefaults()}
-	if err := stageUnpack(ctx, a); err != nil {
-		return nil, nil, err
-	}
-	res, err := ProtectCtx(ctx, a.File, a.Ko, a.ResourceCount, a.Opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	a.Result = res
-	if err := stageRepack(ctx, a); err != nil {
-		return nil, nil, err
-	}
-	return a.Unsigned, res, nil
-}
-
-// ProtectPackage is BuildProtected followed by the developer signing
-// step — the convenience most tests and experiments want.
-func ProtectPackage(in *apk.Package, devKey *apk.KeyPair, opts Options) (*apk.Package, *Result, error) {
-	if devKey.PublicKeyHex() != in.PublicKeyHex() {
-		return nil, nil, fmt.Errorf("core: signing key does not match the package's certificate")
-	}
-	u, res, err := BuildProtected(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	signed, err := apk.Sign(u, devKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	return signed, res, nil
 }

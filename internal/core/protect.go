@@ -14,52 +14,21 @@ import (
 	"bombdroid/internal/vm"
 )
 
-// Protect instruments a dex file with logic bombs (paper Fig. 1,
-// steps 2–4). ko is the developer's public key extracted from
-// CERT.RSA; resourceCount is the app's current strings.xml size (the
-// stego strings Result.StegoStrings land at that offset). The input
-// file is not modified.
-//
-// Protect is the Analyze→Construct→Stego→Validate slice of the staged
-// pipeline (see engine.go); ProtectCtx is the cancellable form.
-func Protect(file *dex.File, ko string, resourceCount int, opts Options) (*Result, error) {
-	return ProtectCtx(context.Background(), file, ko, resourceCount, opts)
-}
-
-// ProtectCtx is Protect with cancellation: the construct stage checks
-// ctx between methods, so protection of a large app returns promptly
-// once ctx is done.
-func ProtectCtx(ctx context.Context, file *dex.File, ko string, resourceCount int, opts Options) (*Result, error) {
-	a := &Artifacts{
-		File: file, Ko: ko, ResourceCount: resourceCount,
-		Opts: opts.withDefaults(),
-	}
-	for _, st := range protectStages {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s stage: %w", st.Name, err)
-		}
-		if err := st.Run(ctx, a); err != nil {
-			return nil, err
-		}
-	}
-	return a.Result, nil
-}
-
 // stageAnalyze computes the static-analysis artifact (paper Fig. 1,
 // step 2; Soot in the paper): the hot-method exclusion set from the
-// profiling data (§7.1, top-10% excluded), then each construct
-// candidate's CFG with loops, liveness and qualified conditions, in
-// File.Methods() order. It reads only the unmodified input file and
-// the hot set, never Opts.Seed, and writes only Artifacts.Hot and the
-// per-method analyses, so the engine can satisfy it from the artifact
-// cache without running it.
+// profile stage's invocation counts (§7.1, top-10% excluded), then
+// each construct candidate's CFG with loops, liveness and qualified
+// conditions, in File.Methods() order. It reads only the unmodified
+// input file, the profile and HotFrac, never Opts.Seed, and writes
+// only Artifacts.Hot and the per-method analyses, so the engine can
+// satisfy it from the artifact cache without running it.
 //
 // Analysing the input instead of the construct clone is exact:
 // construct analyses each method before editing it, and its earlier
 // edits only append strings, classes and blobs or rewrite methods
 // already finalized (TestStageAnalyzeMatchesConstructClone).
 func stageAnalyze(ctx context.Context, a *Artifacts) error {
-	a.Hot = hotMethods(a.Opts.Profile, a.Opts.HotFrac)
+	a.Hot = hotMethods(a.Profile, a.Opts.HotFrac)
 	for _, m := range a.File.Methods() {
 		if m.IsSynthetic() || a.Hot[m.FullName()] {
 			continue
@@ -143,6 +112,7 @@ func stageConstruct(ctx context.Context, a *Artifacts) error {
 
 	p := &protector{
 		opts: opts, rng: rng, out: out, res: res, ko: a.Ko,
+		fieldVals: a.FieldValues, iconDigest: a.IconDigest, authorDigest: a.AuthorDigest,
 	}
 	for i, m := range candidates {
 		if err := ctx.Err(); err != nil {
@@ -233,6 +203,10 @@ type protector struct {
 	out  *dex.File
 	res  *Result
 	ko   string
+
+	// From the unpack and profile stages.
+	fieldVals                map[string][]dex.Value
+	iconDigest, authorDigest string
 
 	finalized []*dex.Method // fully instrumented methods (snippet targets)
 	bombN     int
@@ -365,7 +339,7 @@ func (p *protector) planForQC(g *cfg.Graph, lv *cfg.Liveness, m *dex.Method, q *
 	plan := sitePlan{
 		qc: q, source: source, constVal: q.Const, strOp: q.StrOp, xReg: q.Reg,
 	}
-	weavable := p.opts.Weave && !p.opts.NoWeave &&
+	weavable := !p.opts.NoWeave &&
 		q.Kind != cfg.Weak && // zero-tests may guard non-integer falsy values
 		q.HasThenRegion() &&
 		cfg.Liftable(g, lv, q) &&
@@ -431,9 +405,9 @@ func (p *protector) pickArtificialField() (string, dex.Value, bool) {
 		vals []dex.Value
 	}
 	var best []fv
-	if len(p.opts.FieldValues) > 0 {
-		all := make([]fv, 0, len(p.opts.FieldValues))
-		for ref, vals := range p.opts.FieldValues {
+	if len(p.fieldVals) > 0 {
+		all := make([]fv, 0, len(p.fieldVals))
+		for ref, vals := range p.fieldVals {
 			if len(vals) == 0 {
 				continue
 			}
@@ -513,7 +487,7 @@ func (p *protector) apply(m *dex.Method, plan sitePlan, base int32) error {
 
 	if plan.source != SourceBogus {
 		spec.mute = p.opts.MuteAfterFirst
-		if p.opts.DoubleTrigger && !p.opts.SingleTrigger {
+		if !p.opts.SingleTrigger {
 			spec.inner = android.BuildInnerCond(p.rng, p.opts.PLo, p.opts.PHi)
 		}
 		spec.detect = p.chooseDetection()
@@ -526,12 +500,12 @@ func (p *protector) apply(m *dex.Method, plan sitePlan, base int32) error {
 		}
 		if spec.detect == DetectIcon {
 			spec.stegoResIdx = int64(p.res.StegoBase + len(p.stegoPlan))
-			if p.rng.Intn(2) == 0 && len(p.opts.AuthorDigest) >= stegoFragLen {
+			if p.rng.Intn(2) == 0 && len(p.authorDigest) >= stegoFragLen {
 				spec.digestEntry = apk.EntryAuthor
-				p.stegoPlan = append(p.stegoPlan, p.opts.AuthorDigest[:stegoFragLen])
+				p.stegoPlan = append(p.stegoPlan, p.authorDigest[:stegoFragLen])
 			} else {
 				spec.digestEntry = apk.EntryIcon
-				p.stegoPlan = append(p.stegoPlan, p.opts.IconDigest[:stegoFragLen])
+				p.stegoPlan = append(p.stegoPlan, p.iconDigest[:stegoFragLen])
 			}
 		}
 		if spec.detect == DetectSnippet {
@@ -592,7 +566,7 @@ func (p *protector) chooseDetection() DetectionMethod {
 	if d == DetectSnippet && len(p.finalized) == 0 {
 		return DetectPublicKey
 	}
-	if d == DetectIcon && len(p.opts.IconDigest) < stegoFragLen {
+	if d == DetectIcon && len(p.iconDigest) < stegoFragLen {
 		return DetectPublicKey
 	}
 	return d

@@ -8,6 +8,7 @@ import (
 	"bombdroid/internal/android"
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
+	"bombdroid/internal/artifact"
 	"bombdroid/internal/attack"
 	"bombdroid/internal/core"
 	"bombdroid/internal/dex"
@@ -47,19 +48,31 @@ func Ablations(seed int64) ([]AblationRow, error) {
 	return AblationsCtx(context.Background(), seed)
 }
 
+// ablationCacheBytes bounds the artifact store one ablation run
+// shares across its arms: the fixture's analysis plus a few protected
+// builds of a 2,000-line app.
+const ablationCacheBytes = 64 << 20
+
 // AblationsCtx is the canonical ablation runner: the five
 // design-choice measurements run in order, and ctx is checked between
-// them, so a cancelled run stops at the next stage boundary.
+// them, so a cancelled run stops at the next stage boundary. Every arm
+// protects through an engine of its own option set over one store, so
+// the arms share the fixture's analysis, and arms with equal options
+// share the protected build.
 func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
 	app, pkg, key, err := ablationFixture(seed)
 	if err != nil {
 		return nil, err
 	}
+	store := artifact.NewStore(ablationCacheBytes)
+	protect := func(opts core.Options) (*apk.Package, *core.Result, error) {
+		return protectSigned(ctx, &core.Engine{Opts: opts, Cache: store}, pkg, key)
+	}
 	var rows []AblationRow
 
 	// 1. Per-bomb vs global salt: duplicate derived keys.
 	dup := func(opts core.Options) (int, error) {
-		_, res, err := core.ProtectPackage(pkg, key, opts)
+		_, res, err := protect(opts)
 		if err != nil {
 			return 0, err
 		}
@@ -95,7 +108,7 @@ func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
 	}
 	// Rainbow-table cost (same axis, measured as precomputation).
 	rb := func(globalSalt string) (attack.RainbowResult, error) {
-		prot, _, err := core.ProtectPackage(pkg, key, core.Options{Seed: seed, GlobalSalt: globalSalt})
+		prot, _, err := protect(core.Options{Seed: seed, GlobalSalt: globalSalt})
 		if err != nil {
 			return attack.RainbowResult{}, err
 		}
@@ -125,7 +138,7 @@ func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
 	}
 	// 2. Double vs single trigger: lab fuzzing exposure.
 	trig := func(single bool) (float64, error) {
-		prot, res, err := core.ProtectPackage(pkg, key, core.Options{Seed: seed, SingleTrigger: single})
+		prot, res, err := protect(core.Options{Seed: seed, SingleTrigger: single})
 		if err != nil {
 			return 0, err
 		}
@@ -176,7 +189,7 @@ func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
 		if noWeave {
 			opts.BogusFrac = -1
 		}
-		prot, _, err := core.ProtectPackage(pkg, key, opts)
+		prot, _, err := protect(opts)
 		if err != nil {
 			return 0, err
 		}
@@ -244,7 +257,7 @@ func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
 	// 4. α sweep.
 	var counts []string
 	for _, alpha := range []float64{0.10, 0.25, 0.50} {
-		_, res, err := core.ProtectPackage(pkg, key, core.Options{Seed: seed, Alpha: alpha})
+		_, res, err := protect(core.Options{Seed: seed, Alpha: alpha})
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +275,7 @@ func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
 	}
 	// 5. §10 muting.
 	mute := func(on bool) (int, error) {
-		prot, _, err := core.ProtectPackage(pkg, key, core.Options{
+		prot, _, err := protect(core.Options{
 			Seed: seed, SingleTrigger: true, MuteAfterFirst: on,
 			Responses: []vm.ResponseKind{vm.RespWarn},
 		})

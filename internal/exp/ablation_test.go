@@ -1,7 +1,13 @@
 package exp
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
+// TestAblations pins the rendered ablation table. The golden predates
+// the arms' shared engine store, so it also proves the store changes
+// no measurement.
 func TestAblations(t *testing.T) {
 	rows, err := Ablations(11)
 	if err != nil {
@@ -13,7 +19,11 @@ func TestAblations(t *testing.T) {
 	for _, r := range rows {
 		t.Logf("%s: %s | %s", r.Name, r.With, r.Without)
 	}
-	if FormatAblations(rows) == "" {
-		t.Error("empty formatting")
+	want, err := os.ReadFile("testdata/ablations.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := FormatAblations(rows); got != string(want) {
+		t.Errorf("ablation table drifted:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

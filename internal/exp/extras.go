@@ -157,7 +157,7 @@ func ResilienceMatrixCtx(ctx context.Context, seed int64) ([]MatrixRow, error) {
 	}
 	ko := key.PublicKeyHex()
 
-	prot, protRes, err := core.ProtectPackage(orig, key, core.Options{Seed: seed})
+	prot, protRes, err := protectSigned(ctx, &core.Engine{Opts: core.Options{Seed: seed}}, orig, key)
 	if err != nil {
 		return nil, err
 	}

@@ -337,6 +337,21 @@ func prepare(ctx context.Context, g *genArtifact, profileEvents int) (*PreparedA
 	}, nil
 }
 
+// protectSigned protects pkg through eng and signs the output with the
+// developer's key — the half of the paper's workflow that ships the
+// unsigned package back to the developer.
+func protectSigned(ctx context.Context, eng *core.Engine, pkg *apk.Package, devKey *apk.KeyPair) (*apk.Package, *core.Result, error) {
+	p, err := eng.Run(ctx, pkg)
+	if err != nil {
+		return nil, nil, err
+	}
+	signed, err := apk.Sign(p.Unsigned, devKey)
+	if err != nil {
+		return nil, nil, err
+	}
+	return signed, p.Result, nil
+}
+
 // RealBlobs returns the blob indices of real (non-bogus) bombs.
 func (p *PreparedApp) RealBlobs() map[int64]bool {
 	out := map[int64]bool{}

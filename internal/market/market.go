@@ -275,10 +275,9 @@ type Store struct {
 	misroute *obs.Counter
 }
 
-// storeMeta is the on-disk pinning record. Shards has been pinned
-// since the format's first version; Slots/NodeID/Range arrived with
-// multi-node ownership. A legacy meta.json (Slots == 0 when decoded)
-// is read as "a standalone full-range node" and upgraded in place.
+// storeMeta is the on-disk pinning record: shard count, slot count,
+// node id and owned range. A meta.json that decodes with Slots == 0
+// predates multi-node ownership and is refused (see checkMeta).
 type storeMeta struct {
 	Shards  int    `json:"shards"`
 	Slots   int    `json:"slots,omitempty"`
@@ -335,12 +334,11 @@ func Open(cfg Config) (*Store, ReplayStats, error) {
 // refuses to start; re-ranging is an explicit wipe-or-migrate
 // operation, never a flag change.
 //
-// A legacy meta.json (written before ranges existed) pins only the
-// shard count; it is accepted iff the config describes what that file
-// implicitly promised — a full-range node — and upgraded to the
-// current schema in place (atomic write, so a crash mid-upgrade
-// leaves the old, still-valid file). A new NodeID may be adopted
-// set-once onto a directory that never had one.
+// A meta.json without a slot count was written before ranges existed;
+// no such directory ever shipped, so it is refused with an error that
+// names the file rather than upgraded. A new NodeID may be adopted
+// set-once onto a directory that never had one (atomic rewrite, so a
+// crash mid-write leaves the old, still-valid file).
 func checkMeta(cfg Config) error {
 	path := cfg.Dir + "/meta.json"
 	b, err := cfg.FS.ReadFile(path)
@@ -355,9 +353,8 @@ func checkMeta(cfg Config) error {
 				cfg.Dir, m.Shards, cfg.Shards)
 		}
 		if m.Slots == 0 {
-			// Legacy file: implicitly a standalone full-range node.
-			m.Slots = DefaultSlots
-			m.RangeLo, m.RangeHi = 0, m.Slots
+			return fmt.Errorf("market: %s pins no slot count (a pre-cluster meta.json); "+
+				"that schema is not supported", path)
 		}
 		if m.Slots != cfg.Slots {
 			return fmt.Errorf("market: %s was written with %d slots, reopened with %d",
@@ -374,7 +371,8 @@ func checkMeta(cfg Config) error {
 		if m.NodeID == cfg.NodeID && len(b) > 0 && jsonEqualsMeta(b, m) {
 			return nil // schema current and identical; no rewrite
 		}
-		// Legacy schema, or set-once NodeID adoption: upgrade in place.
+		// Set-once NodeID adoption, or the same record in another
+		// encoding: rewrite it canonically.
 		m.NodeID = cfg.NodeID
 		return writeMeta(cfg, m)
 	case errors.Is(err, fs.ErrNotExist):

@@ -157,31 +157,30 @@ func TestMetaPinsNodeID(t *testing.T) {
 	}
 }
 
-func TestMetaLegacyUpgrade(t *testing.T) {
+// TestMetaLegacyRefused: a pre-cluster meta.json pins only the shard
+// count. Open refuses it, naming the file, and leaves it untouched
+// instead of upgrading it in place.
+func TestMetaLegacyRefused(t *testing.T) {
 	dir := t.TempDir()
-	// A pre-cluster data directory pinned only the shard count.
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte("{\"shards\":2}\n"), 0o644); err != nil {
+	path := filepath.Join(dir, "meta.json")
+	legacy := []byte("{\"shards\":2}\n")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A full-range open matches what the legacy file promised: accepted,
-	// and the file is upgraded to the current schema.
-	st, _ := mustOpen(t, Config{Dir: dir, Shards: 2, NodeID: "n0"})
-	writeEvents(t, st, "app-legacy", 10)
-	st.Close()
-	b, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	for _, cfg := range []Config{
+		{Dir: dir, Shards: 2, NodeID: "n0"},
+		{Dir: dir, Shards: 2, Slots: 8, Range: ShardRange{Lo: 0, Hi: 4}},
+	} {
+		_, _, err := Open(cfg)
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("legacy meta.json opened as %+v: err = %v, want a refusal naming %s", cfg, err, path)
+		}
+	}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), "\"range_hi\"") || !strings.Contains(string(b), "\"node_id\":\"n0\"") {
-		t.Fatalf("meta.json not upgraded: %s", b)
-	}
-
-	// But a legacy directory cannot be re-declared a partial node.
-	sub := t.TempDir()
-	if err := os.WriteFile(filepath.Join(sub, "meta.json"), []byte("{\"shards\":2}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(Config{Dir: sub, Shards: 2, Slots: 8, Range: ShardRange{Lo: 0, Hi: 4}}); err == nil {
-		t.Fatal("legacy dir accepted a partial range, want refusal")
+	if string(b) != string(legacy) {
+		t.Errorf("refused meta.json was rewritten: %s", b)
 	}
 }

@@ -2,26 +2,25 @@ package report
 
 import (
 	"fmt"
+	"math/rand"
 
 	"bombdroid/internal/obs"
 )
 
-// This file is the pipeline's public configuration contract. The
-// historical constructor New(sink, Config{...}) forced every caller —
-// campaign runners, the market daemon, tests — to hand-roll partial
-// Config literals and trust the private withDefaults to patch the
-// holes. NewPipeline makes the defaults explicit instead: it starts
-// from DefaultConfig and applies functional options, validating the
-// result, so a caller states only what it means to change.
+// This file is the pipeline's public configuration contract.
+// NewPipeline, the only constructor, starts from DefaultConfig and
+// applies functional options, validating the result, so a caller
+// states only what it means to change.
 
 // DefaultConfig returns the pipeline defaults — exactly the values a
-// zero Config resolves to inside New. It is part of the public
-// contract and pinned by TestDefaultConfigPinned.
+// zero Config field resolves to. It is part of the public contract and
+// pinned by TestDefaultConfigPinned.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
-// Validate rejects configurations no schedule can satisfy. New and
-// NewPipeline call it after defaulting; exported so flag-driven
-// callers (cmd/marketd, cmd/loadgen) can fail fast with a message.
+// Validate rejects configurations no schedule can satisfy.
+// NewPipeline calls it after applying its options; exported so
+// flag-driven callers (cmd/marketd, cmd/loadgen) can fail fast with a
+// message.
 func (c Config) Validate() error {
 	switch {
 	case c.QueueCap < 0:
@@ -75,10 +74,11 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // across TracedSink hops. Nil (the default) keeps tracing off.
 func WithTracer(t *obs.Tracer) Option { return func(c *Config) { c.Tracer = t } }
 
-// NewPipeline is the canonical constructor: DefaultConfig plus the
-// given options. It panics on a configuration Validate rejects — an
-// invalid option combination is a programmer error, and the pipeline
-// has no error return to smuggle it through.
+// NewPipeline builds a pipeline in front of sink from DefaultConfig
+// plus the given options; an option that zeroes a field restores its
+// default. It panics on a configuration Validate rejects — an invalid
+// option combination is a programmer error, and the pipeline has no
+// error return to smuggle it through.
 func NewPipeline(sink Sink, opts ...Option) *Pipeline {
 	cfg := DefaultConfig()
 	for _, o := range opts {
@@ -87,5 +87,27 @@ func NewPipeline(sink Sink, opts ...Option) *Pipeline {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return New(sink, cfg)
+	cfg = cfg.withDefaults()
+	reg := obs.NewRegistry()
+	return &Pipeline{
+		cfg:  cfg,
+		sink: sink,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		seen: make(map[string]bool),
+
+		reg:        reg,
+		cSubmitted: reg.Counter("report_submitted_total"),
+		cAccepted:  reg.Counter("report_accepted_total"),
+		cDupes:     reg.Counter("report_duplicates_total"),
+		cDelivered: reg.Counter("report_delivered_total"),
+		cAttempts:  reg.Counter("report_attempts_total"),
+		cRetries:   reg.Counter("report_retries_total"),
+		cDead:      reg.Counter("report_dead_letter_total"),
+		cOverflow:  reg.Counter("report_overflow_total"),
+		cTrips:     reg.Counter("report_breaker_trips_total"),
+		cBackoffMs: reg.Counter("report_backoff_ms_total"),
+		gQueue:     reg.Gauge("report_queue_depth"),
+		gDeadDepth: reg.Gauge("report_dead_letter_depth"),
+		gBreaker:   reg.Gauge("report_breaker_state"),
+	}
 }

@@ -253,8 +253,8 @@ type Pipeline struct {
 	reopenMs    int64 // when open: earliest half-open probe time
 	transitions []BreakerTransition
 
-	// metrics, pre-resolved once in New so the per-event path does no
-	// registry lookups
+	// metrics, pre-resolved once in NewPipeline so the per-event path
+	// does no registry lookups
 	reg        *obs.Registry
 	cSubmitted *obs.Counter
 	cAccepted  *obs.Counter
@@ -269,35 +269,6 @@ type Pipeline struct {
 	gQueue     *obs.Gauge
 	gDeadDepth *obs.Gauge
 	gBreaker   *obs.Gauge
-}
-
-// New builds a pipeline in front of sink from a full Config. Zero
-// fields resolve to DefaultConfig values. Most callers should prefer
-// NewPipeline, which states deviations from the defaults explicitly.
-func New(sink Sink, cfg Config) *Pipeline {
-	cfg = cfg.withDefaults()
-	reg := obs.NewRegistry()
-	return &Pipeline{
-		cfg:  cfg,
-		sink: sink,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		seen: make(map[string]bool),
-
-		reg:        reg,
-		cSubmitted: reg.Counter("report_submitted_total"),
-		cAccepted:  reg.Counter("report_accepted_total"),
-		cDupes:     reg.Counter("report_duplicates_total"),
-		cDelivered: reg.Counter("report_delivered_total"),
-		cAttempts:  reg.Counter("report_attempts_total"),
-		cRetries:   reg.Counter("report_retries_total"),
-		cDead:      reg.Counter("report_dead_letter_total"),
-		cOverflow:  reg.Counter("report_overflow_total"),
-		cTrips:     reg.Counter("report_breaker_trips_total"),
-		cBackoffMs: reg.Counter("report_backoff_ms_total"),
-		gQueue:     reg.Gauge("report_queue_depth"),
-		gDeadDepth: reg.Gauge("report_dead_letter_depth"),
-		gBreaker:   reg.Gauge("report_breaker_state"),
-	}
 }
 
 // Obs returns the pipeline's private metrics registry. Merge it into

@@ -29,10 +29,14 @@ func chaosPrepared(t *testing.T, seed int64) (*apk.Package, Surface) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, _, err := core.ProtectPackage(orig, key, core.Options{
+	built, err := (&core.Engine{Opts: core.Options{
 		Seed:      seed,
 		Responses: []vm.ResponseKind{vm.RespReport},
-	})
+	}}).Run(context.Background(), orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := apk.Sign(built.Unsigned, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,15 @@ func prepared(t *testing.T, seed int64) (*apk.Package, *apk.Package, Surface, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, res, err := core.ProtectPackage(orig, key, core.Options{Seed: seed})
+	built, err := (&core.Engine{Opts: core.Options{Seed: seed}}).Run(context.Background(), orig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prot, err := apk.Sign(built.Unsigned, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := built.Result
 	attacker, err := apk.NewKeyPair(909)
 	if err != nil {
 		t.Fatal(err)

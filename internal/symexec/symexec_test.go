@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -245,10 +246,15 @@ func TestAnalyzeWholeProtectedApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Protect(app.File, key.PublicKeyHex(), 0, core.Options{Seed: 6})
+	pkg, err := apk.Sign(apk.Build("sx", app.File, apk.Resources{}), key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	built, err := (&core.Engine{Opts: core.Options{Seed: 6}}).Run(context.Background(), pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := built.Result
 	if len(res.Bombs) == 0 {
 		t.Fatal("no bombs")
 	}
