@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
@@ -219,18 +220,32 @@ func TestBatchProtectsCorpus(t *testing.T) {
 	}
 }
 
-// TestBatchCancellation: a cancelled context still writes a valid
-// partial manifest with every app marked cancelled.
+// TestBatchCancellation: cancelling mid-corpus — once the first app's
+// protected output lands — stops the batch with context.Canceled and
+// still writes a valid manifest that names every corpus member with a
+// known status.
 func TestBatchCancellation(t *testing.T) {
 	dir := t.TempDir()
-	writeTestAPK(t, filepath.Join(dir, "a.apk"), "appA", 3, 1)
-	writeTestAPK(t, filepath.Join(dir, "b.apk"), "appB", 4, 1)
+	apps := []string{"a.apk", "b.apk", "c.apk", "d.apk"}
+	for i, name := range apps {
+		writeTestAPK(t, filepath.Join(dir, name), "app"+name[:1], int64(3+i), 1)
+	}
+	outDir := filepath.Join(dir, "out")
 	manifest := filepath.Join(dir, "m.json")
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	defer cancel()
+	go func() {
+		for ctx.Err() == nil {
+			if outs, _ := filepath.Glob(filepath.Join(outDir, "*.prot.apk")); len(outs) > 0 {
+				cancel()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	var out bytes.Buffer
-	err := run(ctx, &out, []string{"-batch", dir, "-manifest", manifest, "-workers", "2"})
+	err := run(ctx, &out, []string{"-batch", dir, "-outdir", outDir, "-manifest", manifest, "-keyseed", "1", "-workers", "1"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -242,13 +257,27 @@ func TestBatchCancellation(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("partial manifest is not valid JSON: %v", err)
 	}
-	if !m.Cancelled || len(m.Apps) != 2 {
+	if !m.Cancelled || len(m.Apps) != len(apps) {
 		t.Fatalf("manifest: %+v", m)
 	}
-	for _, e := range m.Apps {
-		if e.Status != "cancelled" {
-			t.Errorf("%s: status %q, want cancelled", e.App, e.Status)
+	count := map[string]int{}
+	for i, e := range m.Apps {
+		if e.App != apps[i] {
+			t.Errorf("manifest entry %d names %q, want %q", i, e.App, apps[i])
 		}
+		switch e.Status {
+		case "ok":
+			if _, err := os.Stat(e.Out); err != nil {
+				t.Errorf("%s: ok without its output: %v", e.App, err)
+			}
+		case "error", "cancelled":
+		default:
+			t.Errorf("%s: unknown status %q", e.App, e.Status)
+		}
+		count[e.Status]++
+	}
+	if count["ok"] == 0 || count["cancelled"] == 0 {
+		t.Errorf("statuses %v, want the first app ok and the rest cancelled", count)
 	}
 }
 

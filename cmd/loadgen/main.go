@@ -10,10 +10,6 @@
 // -batch-sized batches from -workers goroutines, retrying 429
 // backpressure and 503 degraded answers through the shared
 // market.RetryPolicy, and print a JSON summary
-// -url also accepts a comma-separated node list; loadgen then routes
-// batches itself through an in-process cluster.Router (fire-hose,
-// -verdict, and -timeline go federated; -campaign needs one URL —
-// point it at a router daemon to exercise a cluster).
 // with events_per_sec, p99_ms (per-POST), e2e_p50_ms/e2e_p99_ms
 // (generation → durable ack, retries included), and degraded_retries.
 //
@@ -54,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -63,7 +58,6 @@ import (
 	"bombdroid/internal/chaos"
 	"bombdroid/internal/exp"
 	"bombdroid/internal/market"
-	"bombdroid/internal/market/cluster"
 	"bombdroid/internal/obs"
 	"bombdroid/internal/report"
 	"bombdroid/internal/sim"
@@ -138,24 +132,11 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	if *url == "" {
 		return fmt.Errorf("-url is required")
 	}
-	// -url accepts a comma-separated node list: loadgen then routes
-	// batches itself through an in-process cluster.Router instead of
-	// needing a router daemon between it and the nodes.
-	urls := splitURLs(*url)
-	var tgt target
-	if len(urls) == 1 {
-		tgt = clientTarget{&market.Client{BaseURL: urls[0], Gzip: *gzipOn}}
-	} else {
-		rt, err := cluster.New(ctx, cluster.Config{Nodes: urls, Gzip: *gzipOn})
-		if err != nil {
-			return err
-		}
-		tgt = routerTarget{rt}
-	}
+	cl := &market.Client{BaseURL: *url, Gzip: *gzipOn}
 
 	switch {
 	case *verdict != "":
-		v, err := tgt.Verdict(ctx, *verdict)
+		v, err := cl.Verdicts().Get(ctx, *verdict)
 		if err != nil {
 			return err
 		}
@@ -163,7 +144,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		fmt.Fprintf(out, "%s\n", b)
 		return nil
 	case *timeline != "":
-		tl, err := tgt.Timeline(ctx, *timeline)
+		tl, err := cl.Timelines().Get(ctx, *timeline)
 		if err != nil {
 			return err
 		}
@@ -171,9 +152,9 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		fmt.Fprintf(out, "%s\n", b)
 		return nil
 	case *fingerprint != "":
-		return uploadFingerprints(ctx, out, tgt, *fingerprint)
+		return uploadFingerprints(ctx, out, cl, *fingerprint)
 	case *similar != "":
-		sim, err := tgt.Similar(ctx, *similar)
+		sim, err := cl.Fingerprints().Similar(ctx, *similar)
 		if err != nil {
 			return err
 		}
@@ -181,84 +162,10 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		fmt.Fprintf(out, "%s\n", b)
 		return nil
 	case *campaign != "":
-		if len(urls) > 1 {
-			return fmt.Errorf("-campaign drives one HTTP endpoint; point -url at a single node or a router")
-		}
-		return runCampaign(ctx, out, urls[0], *campaign, *sessions, *profile, *seed)
+		return runCampaign(ctx, out, *url, *campaign, *sessions, *profile, *seed)
 	default:
-		return fireHose(ctx, out, tgt, *events, *batch, *workers, *apps, *runID)
+		return fireHose(ctx, out, cl, *events, *batch, *workers, *apps, *runID)
 	}
-}
-
-// splitURLs parses the comma-separated -url value.
-func splitURLs(s string) []string {
-	var out []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// target is what the generator modes drive: one node via
-// market.Client, or a whole cluster via an in-process router. Both
-// speak the same ctx-first surface.
-type target interface {
-	Post(ctx context.Context, evs []report.Event) (market.PostResult, error)
-	Verdict(ctx context.Context, app string) (market.Verdict, error)
-	Timeline(ctx context.Context, app string) (market.Timeline, error)
-	PutFingerprint(ctx context.Context, fp market.Fingerprint) (market.FingerprintAck, error)
-	Similar(ctx context.Context, app string) (market.Similar, error)
-}
-
-// clientTarget adapts market.Client's per-resource method groups to
-// the flat target surface.
-type clientTarget struct{ cl *market.Client }
-
-func (t clientTarget) Post(ctx context.Context, evs []report.Event) (market.PostResult, error) {
-	return t.cl.Reports().Post(ctx, evs)
-}
-
-func (t clientTarget) Verdict(ctx context.Context, app string) (market.Verdict, error) {
-	return t.cl.Verdicts().Get(ctx, app)
-}
-
-func (t clientTarget) Timeline(ctx context.Context, app string) (market.Timeline, error) {
-	return t.cl.Timelines().Get(ctx, app)
-}
-
-func (t clientTarget) PutFingerprint(ctx context.Context, fp market.Fingerprint) (market.FingerprintAck, error) {
-	return t.cl.Fingerprints().Put(ctx, fp)
-}
-
-func (t clientTarget) Similar(ctx context.Context, app string) (market.Similar, error) {
-	return t.cl.Fingerprints().Similar(ctx, app)
-}
-
-// routerTarget adapts cluster.Router's federated calls (and its Ack
-// type) to the single-node shape.
-type routerTarget struct{ rt *cluster.Router }
-
-func (t routerTarget) Post(ctx context.Context, evs []report.Event) (market.PostResult, error) {
-	ack, err := t.rt.PostCtx(ctx, evs)
-	return market.PostResult{Accepted: ack.Accepted, Duplicates: ack.Duplicates}, err
-}
-
-func (t routerTarget) Verdict(ctx context.Context, app string) (market.Verdict, error) {
-	return t.rt.VerdictCtx(ctx, app)
-}
-
-func (t routerTarget) Timeline(ctx context.Context, app string) (market.Timeline, error) {
-	return t.rt.TimelineCtx(ctx, app)
-}
-
-func (t routerTarget) PutFingerprint(ctx context.Context, fp market.Fingerprint) (market.FingerprintAck, error) {
-	return t.rt.PutFingerprintCtx(ctx, fp)
-}
-
-func (t routerTarget) Similar(ctx context.Context, app string) (market.Similar, error) {
-	return t.rt.SimilarCtx(ctx, app)
 }
 
 // fpSummary is the fingerprint mode's JSON report. Apps is sorted so
@@ -283,7 +190,7 @@ type batchApp struct {
 // uploadFingerprints walks a bombdroid -batch manifest, unpacks every
 // successfully protected output APK, and uploads its per-entry digest
 // set as the app's resource fingerprint.
-func uploadFingerprints(ctx context.Context, out io.Writer, tgt target, manifestPath string) error {
+func uploadFingerprints(ctx context.Context, out io.Writer, cl *market.Client, manifestPath string) error {
 	raw, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return err
@@ -321,7 +228,7 @@ func uploadFingerprints(ctx context.Context, out io.Writer, tgt target, manifest
 		var ack market.FingerprintAck
 		if _, err := policy.Do(ctx, func(ctx context.Context) error {
 			var perr error
-			ack, perr = tgt.PutFingerprint(ctx, fp)
+			ack, perr = cl.Fingerprints().Put(ctx, fp)
 			return perr
 		}); err != nil {
 			return fmt.Errorf("app %s: %w", pkg.Name, err)
@@ -345,7 +252,7 @@ func uploadFingerprints(ctx context.Context, out io.Writer, tgt target, manifest
 // jitter) — backpressure slows the hose, it never drops from it — and
 // the posts are ctx-first, so Ctrl-C cancels an in-flight POST or a
 // backoff pause instead of sleeping through it.
-func fireHose(ctx context.Context, out io.Writer, cl target, events, batch, workers, apps int, runID string) error {
+func fireHose(ctx context.Context, out io.Writer, cl *market.Client, events, batch, workers, apps int, runID string) error {
 	if runID == "" {
 		runID = fmt.Sprintf("%d", time.Now().UnixNano())
 	}
@@ -384,7 +291,7 @@ func fireHose(ctx context.Context, out io.Writer, cl target, events, batch, work
 				stats, err := policy.Do(ctx, func(ctx context.Context) error {
 					t0 := time.Now()
 					var perr error
-					pr, perr = cl.Post(ctx, evs)
+					pr, perr = cl.Reports().Post(ctx, evs)
 					r.lat = append(r.lat, time.Since(t0))
 					return perr
 				})

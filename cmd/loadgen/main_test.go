@@ -8,12 +8,17 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bombdroid/internal/apk"
+	"bombdroid/internal/appgen"
 	"bombdroid/internal/market"
+	"bombdroid/internal/market/cluster"
 	"bombdroid/internal/report"
 )
 
@@ -157,6 +162,29 @@ func TestCampaignMode(t *testing.T) {
 	if !v.Flagged || v.Channels.Reports.Detections == 0 {
 		t.Errorf("verdict = %+v, want repackaged with detections after campaign", v)
 	}
+
+	// -timeline is the reports channel's history: its header agrees
+	// with the verdict's reports channel and its last entry counts
+	// every detection.
+	out.Reset()
+	if err := run(context.Background(), &out, []string{"-url", srv.URL, "-timeline", cs.App}); err != nil {
+		t.Fatalf("timeline mode: %v", err)
+	}
+	var tl market.Timeline
+	if err := json.Unmarshal(out.Bytes(), &tl); err != nil {
+		t.Fatalf("timeline does not parse: %v\n%s", err, out.String())
+	}
+	rc := v.Channels.Reports
+	if tl.App != v.App || tl.Threshold != rc.Threshold || tl.Detections != rc.Detections || tl.Repackaged != rc.Flagged {
+		t.Errorf("timeline header (%s, %d, %d, %v) disagrees with verdict %+v",
+			tl.App, tl.Threshold, tl.Detections, tl.Repackaged, v)
+	}
+	if n := len(tl.Entries); n == 0 || tl.Entries[n-1].Count != rc.Detections {
+		t.Errorf("timeline entries %+v do not end at the verdict's %d detections", tl.Entries, rc.Detections)
+	}
+	if tl.TimeToVerdictMs != cs.TimeToVerdictMs {
+		t.Errorf("timeline time_to_verdict_ms = %d, campaign summary says %d", tl.TimeToVerdictMs, cs.TimeToVerdictMs)
+	}
 }
 
 // TestTimelineMode: -timeline prints the app's verdict timeline JSON.
@@ -178,6 +206,111 @@ func TestTimelineMode(t *testing.T) {
 	}
 	if tl.App != "app.tlm" || len(tl.Entries) != 1 || tl.Entries[0].Kind != "threshold" {
 		t.Errorf("timeline = %+v, want one threshold entry", tl)
+	}
+}
+
+// TestFingerprintMode: -fingerprint uploads every protected output a
+// bombdroid -batch manifest names, -similar finds a renamed clone of
+// an app as its ≥ τ neighbour, and once the original is flagged by
+// reports the clone's -verdict is flagged through the similarity
+// channel.
+func TestFingerprintMode(t *testing.T) {
+	dir := t.TempDir()
+	devKey, err := apk.NewKeyPair(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pirateKey, err := apk.NewKeyPair(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(name string, seed int64, res apk.Resources) *apk.Package {
+		t.Helper()
+		app, err := appgen.Generate(appgen.Config{Name: name, Seed: seed, TargetLOC: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := apk.Sign(apk.Build(name, app.File, res), devKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkg
+	}
+	victim := build("app.victim", 3, apk.Resources{Strings: []string{"victim"}, Icon: []byte{1}, Author: "dev"})
+	other := build("app.other", 4, apk.Resources{Strings: []string{"other"}, Icon: []byte{2}, Author: "someone"})
+	// The clone ships the victim's code and resources under a new name
+	// and the pirate's key: every digest matches.
+	clone, err := apk.Sign(&apk.Unsigned{Name: "app.clone", Dex: victim.Dex, Res: victim.Res}, pirateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Apps []batchApp `json:"apps"`
+	}
+	for _, pkg := range []*apk.Package{victim, other, clone} {
+		data, err := apk.Pack(pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, pkg.Name+".prot.apk")
+		if err := os.WriteFile(out, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man.Apps = append(man.Apps, batchApp{App: pkg.Name + ".apk", Status: "ok", Out: out})
+	}
+	manPath := filepath.Join(dir, "manifest.json")
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newMarket(t, market.Config{Threshold: 1})
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, []string{"-url", srv.URL, "-fingerprint", manPath}); err != nil {
+		t.Fatalf("fingerprint mode: %v", err)
+	}
+	var fs fpSummary
+	if err := json.Unmarshal(out.Bytes(), &fs); err != nil {
+		t.Fatalf("fingerprint summary does not parse: %v\n%s", err, out.String())
+	}
+	if fs.Skipped != 0 || fs.Uploaded != 3 || fs.Updated != 3 ||
+		strings.Join(fs.Apps, ",") != "app.clone,app.other,app.victim" {
+		t.Errorf("fingerprint summary = %+v, want 3 apps uploaded, none skipped", fs)
+	}
+
+	out.Reset()
+	if err := run(context.Background(), &out, []string{"-url", srv.URL, "-similar", "app.victim"}); err != nil {
+		t.Fatalf("similar mode: %v", err)
+	}
+	var sim market.Similar
+	if err := json.Unmarshal(out.Bytes(), &sim); err != nil {
+		t.Fatalf("similar answer does not parse: %v\n%s", err, out.String())
+	}
+	if !sim.Known || len(sim.Neighbors) == 0 || sim.Neighbors[0].App != "app.clone" || sim.Neighbors[0].Score != 1 {
+		t.Errorf("similar = %+v, want known with app.clone as the score-1 neighbour", sim)
+	}
+
+	// One detonation flags the victim (threshold 1); the clone has no
+	// reports of its own and is flagged only through the similarity
+	// channel.
+	if _, err := (&market.Client{BaseURL: srv.URL}).Reports().Post(context.Background(), []report.Event{
+		{App: "app.victim", Bomb: "b1", User: "u1", TimeMs: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(context.Background(), &out, []string{"-url", srv.URL, "-verdict", "app.clone"}); err != nil {
+		t.Fatalf("verdict mode: %v", err)
+	}
+	var v market.Verdict
+	if err := json.Unmarshal(out.Bytes(), &v); err != nil {
+		t.Fatalf("verdict does not parse: %v\n%s", err, out.String())
+	}
+	if !v.Flagged || v.Channels.Reports.Flagged || !v.Channels.Similarity.Flagged || v.Channels.Similarity.Neighbor != "app.victim" {
+		t.Errorf("clone verdict = %+v, want flagged through the similarity channel by app.victim", v)
 	}
 }
 
@@ -237,10 +370,10 @@ func mustParse(t *testing.T, raw string) *url.URL {
 	return u
 }
 
-// TestFireHoseCluster: a comma-separated -url routes the hose through
-// an in-process cluster router. Every event lands exactly once on its
-// owning node, and -verdict/-timeline against the same node list
-// serve the federated view.
+// TestFireHoseCluster: the hose drives a cluster through a router's
+// HTTP surface (what marketd -router serves). Every event lands
+// exactly once on its owning node, and -verdict through the same URL
+// serves the federated view.
 func TestFireHoseCluster(t *testing.T) {
 	mk := func(id string, lo, hi int) *httptest.Server {
 		return newMarket(t, market.Config{
@@ -251,10 +384,15 @@ func TestFireHoseCluster(t *testing.T) {
 	n0 := mk("n0", 0, 5)
 	n1 := mk("n1", 5, 11)
 	n2 := mk("n2", 11, 16)
-	urls := n0.URL + "," + n1.URL + "," + n2.URL
+	rt, err := cluster.New(context.Background(), cluster.Config{Nodes: []string{n0.URL, n1.URL, n2.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(cluster.NewHandler(rt))
+	defer router.Close()
 
 	var out bytes.Buffer
-	args := []string{"-url", urls, "-events", "2000", "-batch", "100", "-workers", "3", "-apps", "4", "-run", "cl1"}
+	args := []string{"-url", router.URL, "-events", "2000", "-batch", "100", "-workers", "3", "-apps", "4", "-run", "cl1"}
 	if err := run(context.Background(), &out, args); err != nil {
 		t.Fatalf("cluster hose: %v", err)
 	}
@@ -269,7 +407,7 @@ func TestFireHoseCluster(t *testing.T) {
 	// The federated verdict sees the app's whole tally; no single node
 	// does (4 apps over 2000 events → 500 each).
 	out.Reset()
-	if err := run(context.Background(), &out, []string{"-url", urls, "-verdict", "app-0"}); err != nil {
+	if err := run(context.Background(), &out, []string{"-url", router.URL, "-verdict", "app-0"}); err != nil {
 		t.Fatalf("federated verdict: %v", err)
 	}
 	var v market.Verdict
@@ -285,13 +423,6 @@ func TestFireHoseCluster(t *testing.T) {
 	}
 	if nv.Channels.Reports.Detections == 0 || nv.Channels.Reports.Detections == 500 {
 		t.Errorf("node share = %d detections, want a strict subset", nv.Channels.Reports.Detections)
-	}
-
-	// Campaign mode drives one HTTP endpoint; a node list is a usage
-	// error, not a silent pick-the-first.
-	out.Reset()
-	if err := run(context.Background(), &out, []string{"-url", urls, "-campaign", "AndroFish"}); err == nil {
-		t.Error("campaign with a node list should fail")
 	}
 }
 

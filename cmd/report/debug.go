@@ -10,7 +10,7 @@ import (
 
 // writeMetrics merges the process-default registry (prepare spans)
 // into the run registry, writes the JSON snapshot, and re-reads it to
-// prove the file parses — the check scripts/verify.sh relies on.
+// prove the file parses — the check TestRunMetricsSnapshot relies on.
 func writeMetrics(path string, reg *obs.Registry) error {
 	obs.Default().MergeInto(reg)
 	b, err := reg.Snapshot().JSON()

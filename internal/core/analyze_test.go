@@ -44,7 +44,7 @@ func TestStageAnalyzeMatchesConstructClone(t *testing.T) {
 		for i, m := range app.File.Methods() {
 			profile[m.FullName()] = int64(i)
 		}
-		a := &Artifacts{File: app.File, Ko: "ko", ResourceCount: 2,
+		a := &artifacts{File: app.File, Ko: "ko", ResourceCount: 2,
 			Opts: Options{}.withDefaults(), Profile: profile}
 		if err := stageAnalyze(context.Background(), a); err != nil {
 			t.Fatal(err)

@@ -104,10 +104,10 @@ func protectSigned(t *testing.T, pkg *apk.Package, devKey *apk.KeyPair, opts Opt
 // runStages takes a through the stages the engine runs after unpack
 // and profile, so a test can stand in for those two with a profile no
 // profiling run would record.
-func runStages(t *testing.T, a *Artifacts) *Result {
+func runStages(t *testing.T, a *artifacts) *Result {
 	t.Helper()
 	a.Opts = a.Opts.withDefaults()
-	for _, stage := range []func(context.Context, *Artifacts) error{
+	for _, stage := range []func(context.Context, *artifacts) error{
 		stageAnalyze, stageConstruct, stageStego, stageValidate,
 	} {
 		if err := stage(context.Background(), a); err != nil {
@@ -272,7 +272,7 @@ func TestHotMethodsExcluded(t *testing.T) {
 	for i, m := range app.File.Methods() {
 		profile[m.FullName()] = int64(1000 - i) // first methods hottest
 	}
-	res := runStages(t, &Artifacts{File: app.File, Ko: "ko", Opts: Options{Seed: 1}, Profile: profile})
+	res := runStages(t, &artifacts{File: app.File, Ko: "ko", Opts: Options{Seed: 1}, Profile: profile})
 	if res.Stats.HotExcluded == 0 {
 		t.Fatal("no hot methods excluded")
 	}
@@ -297,7 +297,7 @@ func TestArtificialUsesObservedValues(t *testing.T) {
 		"App.ivar0": {dex.Int64(3), dex.Int64(9), dex.Int64(12), dex.Int64(44), dex.Int64(51)},
 		"App.svar0": {dex.Str("menu")},
 	}
-	res := runStages(t, &Artifacts{File: app.File, Ko: "ko", Opts: Options{Seed: 3, Alpha: 0.9}, FieldValues: fv})
+	res := runStages(t, &artifacts{File: app.File, Ko: "ko", Opts: Options{Seed: 3, Alpha: 0.9}, FieldValues: fv})
 	arts := 0
 	for _, b := range res.Bombs {
 		if b.Source != SourceArtificial {

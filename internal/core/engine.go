@@ -51,9 +51,9 @@ const (
 	StageRepack    StageName = "repack"
 )
 
-// Artifacts is the typed blackboard stages read and write. Each stage
+// artifacts is the typed blackboard stages read and write. Each stage
 // consumes fields earlier stages produced and fills in its own.
-type Artifacts struct {
+type artifacts struct {
 	// Inputs.
 	In   *apk.Package // signed input package
 	Opts Options
@@ -315,7 +315,7 @@ func (e *Engine) observe(name StageName, ns int64, cache string) {
 // stageProfile is the engine's profiling stage (paper Fig. 1 step 2):
 // fuzz the original app on a stock emulator, recording method
 // invocation counts and observed field values.
-func stageProfile(ctx context.Context, a *Artifacts) error {
+func stageProfile(ctx context.Context, a *artifacts) error {
 	watch := a.Prof.Watch
 	if len(watch) == 0 {
 		for _, c := range a.File.Classes {
@@ -346,7 +346,7 @@ func stageProfile(ctx context.Context, a *Artifacts) error {
 func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	opts := e.Opts.withDefaults()
 	prof := e.Prof.withDefaults()
-	a := &Artifacts{In: in, Opts: opts, Prof: prof}
+	a := &artifacts{In: in, Opts: opts, Prof: prof}
 	p := &Protected{}
 	info := &p.Info
 	info.Input = InputKey(in)
@@ -355,7 +355,7 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	info.ResultKey = resultKey(info.Input, info.ProfileKey, opts)
 
 	// run executes one uncached stage with ctx + timing + metrics.
-	run := func(st StageName, fn func(ctx context.Context, a *Artifacts) error) error {
+	run := func(st StageName, fn func(ctx context.Context, a *artifacts) error) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: %s stage: %w", st, err)
 		}
@@ -371,7 +371,7 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	// runs; on a miss, the body runs and save extracts the artifact to
 	// retain.
 	runCached := func(st StageName, key artifact.Key,
-		fn func(ctx context.Context, a *Artifacts) error,
+		fn func(ctx context.Context, a *artifacts) error,
 		save func() (any, int64), load func(v any)) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: %s stage: %w", st, err)
@@ -460,7 +460,7 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	}
 	for _, st := range []struct {
 		name StageName
-		fn   func(ctx context.Context, a *Artifacts) error
+		fn   func(ctx context.Context, a *artifacts) error
 	}{
 		{StageConstruct, stageConstruct},
 		{StageStego, stageStego},

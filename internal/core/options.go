@@ -85,7 +85,7 @@ func (s BombSource) String() string {
 // Options configures bomb construction. Zero values select the
 // paper's defaults. Everything derived from the input package — its
 // profile, its icon and author digests — is the engine's to compute
-// and lives on Artifacts, not here.
+// and lives on artifacts, not here.
 type Options struct {
 	Seed int64
 

@@ -12,7 +12,7 @@ import (
 // CERT.RSA, the resource-string count (where stego strings will
 // land), and the icon/author manifest digests for DetectIcon bombs
 // (the values a repackager's edits will change).
-func stageUnpack(ctx context.Context, a *Artifacts) error {
+func stageUnpack(ctx context.Context, a *artifacts) error {
 	file, err := a.In.DexFile()
 	if err != nil {
 		return fmt.Errorf("core: unpacking dex: %w", err)
@@ -31,7 +31,7 @@ func stageUnpack(ctx context.Context, a *Artifacts) error {
 
 // stageRepack assembles the protected unsigned package: the original
 // resources plus the stego strings, around the instrumented dex.
-func stageRepack(ctx context.Context, a *Artifacts) error {
+func stageRepack(ctx context.Context, a *artifacts) error {
 	newRes := a.In.Res.Clone()
 	newRes.Strings = append(newRes.Strings, a.Result.StegoStrings...)
 	a.Unsigned = apk.Build(a.In.Name, a.Result.File, newRes)

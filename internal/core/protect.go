@@ -20,14 +20,14 @@ import (
 // each construct candidate's CFG with loops, liveness and qualified
 // conditions, in File.Methods() order. It reads only the unmodified
 // input file, the profile and HotFrac, never Opts.Seed, and writes
-// only Artifacts.Hot and the per-method analyses, so the engine can
+// only artifacts.Hot and the per-method analyses, so the engine can
 // satisfy it from the artifact cache without running it.
 //
 // Analysing the input instead of the construct clone is exact:
 // construct analyses each method before editing it, and its earlier
 // edits only append strings, classes and blobs or rewrite methods
 // already finalized (TestStageAnalyzeMatchesConstructClone).
-func stageAnalyze(ctx context.Context, a *Artifacts) error {
+func stageAnalyze(ctx context.Context, a *artifacts) error {
 	a.Hot = hotMethods(a.Profile, a.Opts.HotFrac)
 	for _, m := range a.File.Methods() {
 		if m.IsSynthetic() || a.Hot[m.FullName()] {
@@ -85,7 +85,7 @@ func analysisBytes(as []methodAnalysis) int64 {
 // candidate-method order, so construction is deterministic for a
 // given (input, options) pair. Cancellation is checked between
 // methods. Each candidate's analysis comes from stageAnalyze.
-func stageConstruct(ctx context.Context, a *Artifacts) error {
+func stageConstruct(ctx context.Context, a *artifacts) error {
 	opts := a.Opts
 	rng := rand.New(rand.NewSource(opts.Seed))
 	out := a.File.Clone()
@@ -136,7 +136,7 @@ func stageConstruct(ctx context.Context, a *Artifacts) error {
 // digest, or icon/author digests) inside innocuous cover strings. It
 // continues the construct stage's RNG stream, so the staged pipeline
 // emits byte-for-byte the strings the monolithic one did.
-func stageStego(ctx context.Context, a *Artifacts) error {
+func stageStego(ctx context.Context, a *artifacts) error {
 	p := a.prot
 	res := a.Result
 	if len(p.stegoPlan) == 0 {
@@ -160,7 +160,7 @@ func stageStego(ctx context.Context, a *Artifacts) error {
 
 // stageValidate re-links and checks the instrumented file, then seals
 // the run's stats.
-func stageValidate(ctx context.Context, a *Artifacts) error {
+func stageValidate(ctx context.Context, a *artifacts) error {
 	if err := dex.ValidateLinked(a.Out); err != nil {
 		return fmt.Errorf("core: protected file invalid: %w", err)
 	}

@@ -199,9 +199,8 @@ func TestVerdictFusion(t *testing.T) {
 }
 
 // TestVerdictJSONShape pins the fused verdict's wire shape — the one
-// canonical schema every surface (store, cluster, loadgen,
-// checktimeline) speaks. Changing it is an API break; update every
-// consumer or don't.
+// canonical schema every surface (store, cluster, loadgen) speaks.
+// Changing it is an API break; update every consumer or don't.
 func TestVerdictJSONShape(t *testing.T) {
 	v := Verdict{
 		App:     "app.pin",

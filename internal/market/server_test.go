@@ -256,6 +256,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		"market_ingest_events_total",
 		"market_wal_records_total",
 		"market_http_requests_total",
+		"market_commit_batches_total",
 	} {
 		if !strings.Contains(string(body), fam) {
 			t.Errorf("/metrics missing %s", fam)

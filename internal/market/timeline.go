@@ -15,8 +15,8 @@ import (
 // shard's live commit order equals its WAL replay order, and the
 // retained set below is in fact independent of even that — so a
 // restarted daemon (checkpoint + tail, or full replay) serves a
-// byte-identical timeline to an uncrashed reference, which verify.sh
-// asserts.
+// byte-identical timeline to an uncrashed reference, which
+// TestTimelineRestartIdentical asserts.
 //
 // Each (shard, app) keeps a bounded, event-time-sorted entry list
 // with *head retention*: the earliest tlHead entries are never

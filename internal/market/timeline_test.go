@@ -18,10 +18,13 @@ func tev(app, bomb string, atMs int64) report.Event {
 }
 
 // requireMonotone asserts the timeline invariants every consumer leans
-// on: event times sorted, counts strictly increasing, kinds well
-// placed, final count equal to the verdict tally.
+// on: event times sorted, counts strictly increasing, kinds exactly
+// placed, and a header and final count that agree with the verdict's
+// reports channel — the timeline is that channel's history, so the
+// fused flag (which similarity can raise) is never compared.
 func requireMonotone(t *testing.T, st *Store, tl Timeline) {
 	t.Helper()
+	thr := int64(tl.Threshold)
 	var prevAt, prevCount int64 = -1 << 62, 0
 	for i, e := range tl.Entries {
 		if e.AtMs < prevAt {
@@ -30,22 +33,31 @@ func requireMonotone(t *testing.T, st *Store, tl Timeline) {
 		if e.Count <= prevCount {
 			t.Fatalf("entry %d: count %d not above previous %d", i, e.Count, prevCount)
 		}
-		prevAt, prevCount = e.AtMs, e.Count
+		// "threshold" marks the crossing (it wins over "first" when the
+		// very first report crosses); "first" marks entry 0 otherwise;
+		// everything else is "report".
+		want := "report"
 		switch {
-		case i == 0 && e.Kind != "first" && e.Kind != "threshold":
-			t.Fatalf("entry 0 kind = %q", e.Kind)
-		case i > 0 && e.Kind == "first":
-			t.Fatalf("entry %d claims kind first", i)
+		case e.Count >= thr && prevCount < thr:
+			want = "threshold"
+		case i == 0:
+			want = "first"
 		}
+		if e.Kind != want {
+			t.Fatalf("entry %d (count %d) has kind %q, want %q", i, e.Count, e.Kind, want)
+		}
+		prevAt, prevCount = e.AtMs, e.Count
 	}
-	v := st.Verdict(tl.App)
-	if tl.Detections != v.Channels.Reports.Detections || tl.Repackaged != v.Flagged {
-		t.Fatalf("timeline (%d, %v) disagrees with verdict (%d, %v)",
-			tl.Detections, tl.Repackaged, v.Channels.Reports.Detections, v.Flagged)
+	rc := st.Verdict(tl.App).Channels.Reports
+	if tl.Threshold != rc.Threshold || tl.Detections != rc.Detections || tl.Repackaged != rc.Flagged {
+		t.Fatalf("timeline (%d, %d, %v) disagrees with reports channel (%d, %d, %v)",
+			tl.Threshold, tl.Detections, tl.Repackaged, rc.Threshold, rc.Detections, rc.Flagged)
 	}
-	if len(tl.Entries) > 0 && tl.Entries[len(tl.Entries)-1].Count != v.Channels.Reports.Detections {
-		t.Fatalf("final count %d != verdict detections %d",
-			tl.Entries[len(tl.Entries)-1].Count, v.Channels.Reports.Detections)
+	if prevCount != rc.Detections {
+		t.Fatalf("final count %d != verdict detections %d", prevCount, rc.Detections)
+	}
+	if crossed := tl.TimeToVerdictMs >= 0; crossed != rc.Flagged {
+		t.Fatalf("time_to_verdict_ms = %d but reports channel flagged = %v", tl.TimeToVerdictMs, rc.Flagged)
 	}
 }
 
