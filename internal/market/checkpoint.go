@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 )
 
 // A checkpoint is one shard's complete replay-derived state — dedup
@@ -45,6 +47,15 @@ import (
 //	                     digests u32,
 //	                     then per digest: len u32, bytes)
 //
+// Apps, timelines and fingerprints go out in sorted app order, and
+// each dedup generation's keys in admission order: a key section is
+// the generation's keySet slab verbatim, count first. So the encoding
+// is a function of the shard's state, and two shards holding the same
+// state write the same bytes. Writers before that wrote keys in map
+// order; the decoder takes any order, because a generation is a set,
+// and rejects only a key repeated within one generation. Every count
+// is checked against the bytes left before anything is sized from it.
+//
 // Binary rather than JSON deliberately: at production dedup windows a
 // snapshot holds ~100k keys, and decode speed is the restart path the
 // whole feature exists to shorten.
@@ -72,80 +83,79 @@ type checkpoint struct {
 	pos       walPos
 	records   int64 // cumulative records covered (admits + replayed dups)
 	apps      map[string]int64
-	cur, prev map[string]struct{}
-	tls       map[string]*appTimeline
-	fps       map[string][]string // app → canonical fingerprint digests
+	cur, prev keySet
+	tls       map[string]*appTimeline // flat: every entry in head
+	fps       map[string][]string     // app → canonical fingerprint digests
 }
 
 func ckptName(seq uint64) string { return fmt.Sprintf("ckpt-%08d", seq) }
 
+// encode writes the snapshot. Map sections go out in sorted app order
+// and key sections in insertion order, so two shards holding the same
+// state write the same bytes.
 func (c *checkpoint) encode() []byte {
-	size := 8 + 4 + 8 + 8 + 4 + 4 + 4
-	for app := range c.apps {
+	apps := slices.Sorted(maps.Keys(c.apps))
+	tlApps := slices.Sorted(maps.Keys(c.tls))
+	fpApps := slices.Sorted(maps.Keys(c.fps))
+	size := 8 + 4 + 8 + 8 + 4 + 4 + len(c.cur.slab) + 4 + len(c.prev.slab) + 4 + 4
+	for _, app := range apps {
 		size += 4 + len(app) + 8
 	}
-	for key := range c.cur {
-		size += 4 + len(key)
+	for _, app := range tlApps {
+		size += 4 + len(app) + 8 + 4 + 16*len(c.tls[app].head)
 	}
-	for key := range c.prev {
-		size += 4 + len(key)
-	}
-	size += 4
-	for app, tl := range c.tls {
-		size += 4 + len(app) + 8 + 4 + 16*len(tl.entries)
-	}
-	size += 4
-	for app, digests := range c.fps {
+	for _, app := range fpApps {
 		size += 4 + len(app) + 4
-		for _, d := range digests {
+		for _, d := range c.fps[app] {
 			size += 4 + len(d)
 		}
 	}
-	body := make([]byte, 0, size)
-	body = binary.LittleEndian.AppendUint64(body, c.seq)
-	body = binary.LittleEndian.AppendUint32(body, uint32(c.pos.Seg))
-	body = binary.LittleEndian.AppendUint64(body, uint64(c.pos.Off))
-	body = binary.LittleEndian.AppendUint64(body, uint64(c.records))
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.apps)))
-	for app, n := range c.apps {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(app)))
-		body = append(body, app...)
-		body = binary.LittleEndian.AppendUint64(body, uint64(n))
+	// The body is appended after the header, whose length and CRC are
+	// filled in last.
+	const hdr = len(ckptMagic) + 8
+	out := make([]byte, hdr, hdr+size)
+	copy(out, ckptMagic)
+	out = binary.LittleEndian.AppendUint64(out, c.seq)
+	out = binary.LittleEndian.AppendUint32(out, uint32(c.pos.Seg))
+	out = binary.LittleEndian.AppendUint64(out, uint64(c.pos.Off))
+	out = binary.LittleEndian.AppendUint64(out, uint64(c.records))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(apps)))
+	for _, app := range apps {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(app)))
+		out = append(out, app...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(c.apps[app]))
 	}
-	for _, set := range []map[string]struct{}{c.cur, c.prev} {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(set)))
-		for key := range set {
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(key)))
-			body = append(body, key...)
+	for _, set := range []*keySet{&c.cur, &c.prev} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(set.len()))
+		out = append(out, set.slab...)
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(tlApps)))
+	for _, app := range tlApps {
+		tl := c.tls[app]
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(app)))
+		out = append(out, app...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(tl.evicted))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(tl.head)))
+		for _, e := range tl.head {
+			out = binary.LittleEndian.AppendUint64(out, uint64(e.at))
+			out = binary.LittleEndian.AppendUint64(out, e.tie)
 		}
 	}
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.tls)))
-	for app, tl := range c.tls {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(app)))
-		body = append(body, app...)
-		body = binary.LittleEndian.AppendUint64(body, uint64(tl.evicted))
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(tl.entries)))
-		for _, e := range tl.entries {
-			body = binary.LittleEndian.AppendUint64(body, uint64(e.at))
-			body = binary.LittleEndian.AppendUint64(body, e.tie)
-		}
-	}
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.fps)))
-	for app, digests := range c.fps {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(app)))
-		body = append(body, app...)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(digests)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(fpApps)))
+	for _, app := range fpApps {
+		digests := c.fps[app]
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(app)))
+		out = append(out, app...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(digests)))
 		for _, d := range digests {
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(d)))
-			body = append(body, d...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(d)))
+			out = append(out, d...)
 		}
 	}
-
-	out := make([]byte, 0, len(ckptMagic)+8+len(body))
-	out = append(out, ckptMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
-	return append(out, body...)
+	body := out[hdr:]
+	binary.LittleEndian.PutUint32(out[len(ckptMagic):], uint32(len(body)))
+	binary.LittleEndian.PutUint32(out[len(ckptMagic)+4:], crc32.Checksum(body, castagnoli))
+	return out
 }
 
 // decodeCheckpoint validates and decodes one checkpoint file's bytes.
@@ -166,11 +176,10 @@ func decodeCheckpoint(raw []byte) (*checkpoint, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errBadCheckpoint)
 	}
 
-	// One conversion of the whole body; every key below is a substring
-	// of it. That pins the body for the life of the maps but turns
-	// ~100k per-key allocations into one, and the maps would hold
-	// copies of nearly every byte anyway — decode speed is the point.
-	d := ckptDecoder{s: string(body)}
+	// Names and digests are copied out of the body and each dedup
+	// generation is copied once, as its slab, so nothing decoded pins
+	// the file's bytes.
+	d := ckptDecoder{b: body}
 	c := &checkpoint{
 		seq: d.u64(),
 		pos: walPos{},
@@ -178,49 +187,48 @@ func decodeCheckpoint(raw []byte) (*checkpoint, error) {
 	c.pos.Seg = int(d.u32())
 	c.pos.Off = int64(d.u64())
 	c.records = int64(d.u64())
-	nApps := d.u32()
+	nApps := d.count(4 + 8)
 	c.apps = make(map[string]int64, nApps)
-	for i := uint32(0); i < nApps && d.err == nil; i++ {
+	for i := 0; i < nApps && d.err == nil; i++ {
 		app := d.str()
 		c.apps[app] = int64(d.u64())
 	}
-	for _, set := range []*map[string]struct{}{&c.cur, &c.prev} {
-		n := d.u32()
-		m := make(map[string]struct{}, n)
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m[d.str()] = struct{}{}
+	for _, set := range []*keySet{&c.cur, &c.prev} {
+		n := d.count(4)
+		lo := d.off
+		for i := 0; i < n && d.err == nil; i++ {
+			d.bytes()
 		}
-		*set = m
-	}
-	nTLs := d.u32()
-	c.tls = make(map[string]*appTimeline, nTLs)
-	for i := uint32(0); i < nTLs && d.err == nil; i++ {
-		app := d.str()
-		tl := &appTimeline{evicted: int64(d.u64())}
-		nEntries := d.u32()
-		if d.err == nil && uint64(nEntries)*16 > uint64(len(d.s)-d.off) {
-			d.fail() // length claims more entries than bytes remain
+		if d.err != nil {
 			break
 		}
-		tl.entries = make([]tlEntry, 0, nEntries)
-		for j := uint32(0); j < nEntries && d.err == nil; j++ {
+		ks, ok := keySetFromSlab(slices.Clone(d.b[lo:d.off]), n)
+		if !ok {
+			return nil, fmt.Errorf("%w: duplicate dedup key", errBadCheckpoint)
+		}
+		*set = ks
+	}
+	nTLs := d.count(4 + 8 + 4)
+	c.tls = make(map[string]*appTimeline, nTLs)
+	for i := 0; i < nTLs && d.err == nil; i++ {
+		app := d.str()
+		tl := &appTimeline{evicted: int64(d.u64())}
+		nEntries := d.count(16)
+		tl.head = make([]tlEntry, 0, nEntries)
+		for j := 0; j < nEntries && d.err == nil; j++ {
 			at := int64(d.u64())
 			tie := d.u64()
-			tl.entries = append(tl.entries, tlEntry{at: at, tie: tie})
+			tl.head = append(tl.head, tlEntry{at: at, tie: tie})
 		}
 		c.tls[app] = tl
 	}
-	nFPs := d.u32()
+	nFPs := d.count(4 + 4)
 	c.fps = make(map[string][]string, nFPs)
-	for i := uint32(0); i < nFPs && d.err == nil; i++ {
+	for i := 0; i < nFPs && d.err == nil; i++ {
 		app := d.str()
-		nDigests := d.u32()
-		if d.err == nil && uint64(nDigests)*4 > uint64(len(d.s)-d.off) {
-			d.fail() // length claims more digests than bytes remain
-			break
-		}
+		nDigests := d.count(4)
 		digests := make([]string, 0, nDigests)
-		for j := uint32(0); j < nDigests && d.err == nil; j++ {
+		for j := 0; j < nDigests && d.err == nil; j++ {
 			digests = append(digests, d.str())
 		}
 		c.fps[app] = digests
@@ -228,29 +236,28 @@ func decodeCheckpoint(raw []byte) (*checkpoint, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if rest := len(d.s) - d.off; rest != 0 {
+	if rest := len(d.b) - d.off; rest != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errBadCheckpoint, rest)
 	}
 	return c, nil
 }
 
 // ckptDecoder cursors through a checkpoint body; the first short read
-// poisons it and every later read returns zero values. It reads from a
-// string so str() can hand out allocation-free substrings.
+// poisons it and every later read returns zero values.
 type ckptDecoder struct {
-	s   string
+	b   []byte
 	off int
 	err error
 }
 
 func (d *ckptDecoder) u32() uint32 {
-	if d.err != nil || len(d.s)-d.off < 4 {
+	if d.err != nil || len(d.b)-d.off < 4 {
 		d.fail()
 		return 0
 	}
-	s := d.s[d.off : d.off+4]
+	v := binary.LittleEndian.Uint32(d.b[d.off:])
 	d.off += 4
-	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+	return v
 }
 
 func (d *ckptDecoder) u64() uint64 {
@@ -258,16 +265,30 @@ func (d *ckptDecoder) u64() uint64 {
 	return lo | uint64(d.u32())<<32
 }
 
-func (d *ckptDecoder) str() string {
+// count reads an item count and fails when even the smallest encoding
+// of that many items, min bytes each, would overrun the body.
+func (d *ckptDecoder) count(min int) int {
 	n := d.u32()
-	if d.err != nil || uint64(n) > uint64(len(d.s)-d.off) {
+	if d.err == nil && uint64(n)*uint64(min) > uint64(len(d.b)-d.off) {
 		d.fail()
-		return ""
+		return 0
 	}
-	s := d.s[d.off : d.off+int(n)]
-	d.off += int(n)
-	return s
+	return int(n)
 }
+
+// bytes reads one len u32 | bytes field, aliasing the body.
+func (d *ckptDecoder) bytes() []byte {
+	n := d.u32()
+	if d.err != nil || uint64(n) > uint64(len(d.b)-d.off) {
+		d.fail()
+		return nil
+	}
+	b := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
+}
+
+func (d *ckptDecoder) str() string { return string(d.bytes()) }
 
 func (d *ckptDecoder) fail() {
 	if d.err == nil {

@@ -1,9 +1,15 @@
 package market
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bombdroid/internal/market/marketfs"
@@ -20,8 +26,8 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 		pos:     walPos{Seg: 3, Off: 12345},
 		records: 99,
 		apps:    map[string]int64{"app.a": 4, "app\x00weird": 1},
-		cur:     map[string]struct{}{"k1": {}, "": {}},
-		prev:    map[string]struct{}{"older-key": {}},
+		cur:     keySetOf("k1", ""),
+		prev:    keySetOf("older-key"),
 	}
 	got, err := decodeCheckpoint(c.encode())
 	if err != nil {
@@ -33,15 +39,14 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 	if len(got.apps) != 2 || got.apps["app.a"] != 4 {
 		t.Errorf("apps round-trip: %v", got.apps)
 	}
-	if _, ok := got.cur[""]; !ok || len(got.cur) != 2 {
-		t.Errorf("cur round-trip: %v", got.cur)
+	if !got.cur.has("", ksHash("")) || got.cur.len() != 2 {
+		t.Errorf("cur round-trip: %q", ksKeys(&got.cur))
 	}
-	if _, ok := got.prev["older-key"]; !ok {
-		t.Errorf("prev round-trip: %v", got.prev)
+	if !got.prev.has("older-key", ksHash("older-key")) {
+		t.Errorf("prev round-trip: %q", ksKeys(&got.prev))
 	}
 
-	empty := &checkpoint{seq: 1, pos: walPos{}, apps: map[string]int64{},
-		cur: map[string]struct{}{}, prev: nil}
+	empty := &checkpoint{seq: 1, pos: walPos{}, apps: map[string]int64{}}
 	if _, err := decodeCheckpoint(empty.encode()); err != nil {
 		t.Fatalf("empty checkpoint: %v", err)
 	}
@@ -371,5 +376,285 @@ func TestCheckpointDedupRotationEquivalence(t *testing.T) {
 	}
 	if v := st3.Verdict("app.rotck"); v != wantVerdict {
 		t.Errorf("full replay verdict %+v, want %+v", v, wantVerdict)
+	}
+}
+
+// TestCheckpointPhasesEveryCheckpoint: with checkpoints mid-run as
+// well as at Close, every checkpoint observes each phase of
+// market_checkpoint_phase_us exactly once, and the phases sum to no
+// more than market_checkpoint_us.
+func TestCheckpointPhasesEveryCheckpoint(t *testing.T) {
+	reg := obs.NewRegistry()
+	st, _ := mustOpen(t, Config{Dir: t.TempDir(), Shards: 1, CheckpointEvery: 10, Obs: reg})
+	for i := 0; i < 5; i++ {
+		writeEvents(t, st, fmt.Sprintf("app.phase%d", i), 12)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := reg.Counter(obs.L("market_checkpoints_total", "shard", "0")).Value()
+	if n < 2 {
+		t.Fatalf("market_checkpoints_total = %d, want several", n)
+	}
+	hUs := reg.Histogram(obs.L("market_checkpoint_us", "shard", "0"), obs.ExpBuckets(50, 4, 12), obs.Volatile())
+	var phaseSum int64
+	for _, phase := range ckptPhases {
+		h := reg.Histogram(obs.L("market_checkpoint_phase_us", "shard", "0", "phase", phase), obs.ExpBuckets(50, 4, 12), obs.Volatile())
+		if h.Count() != n {
+			t.Errorf("phase %q observed %d times over %d checkpoints", phase, h.Count(), n)
+		}
+		phaseSum += h.Sum()
+	}
+	if phaseSum > hUs.Sum() {
+		t.Errorf("checkpoint phases sum to %dus, more than the %dus total", phaseSum, hUs.Sum())
+	}
+}
+
+// TestWALSegmentsGauge: market_wal_segments counts the segment files
+// on disk — set at open, raised by rotation, lowered by the
+// compaction behind a checkpoint.
+func TestWALSegmentsGauge(t *testing.T) {
+	dir := t.TempDir()
+	shardDir := filepath.Join(dir, "shard-000")
+	onDisk := func() int64 {
+		segs, _ := filepath.Glob(filepath.Join(shardDir, "wal-*.log"))
+		return int64(len(segs))
+	}
+	open := func() (*Store, *obs.Gauge) {
+		reg := obs.NewRegistry()
+		st, _ := mustOpen(t, Config{Dir: dir, Shards: 1, SegmentBytes: 256, CheckpointEvery: 1000, CheckpointBytes: 1 << 30, Obs: reg})
+		return st, reg.Gauge(obs.L("market_wal_segments", "shard", "0"), obs.Volatile())
+	}
+	st, g := open()
+	if g.Value() != 1 {
+		t.Fatalf("fresh store: gauge = %d, want 1", g.Value())
+	}
+	for i := 0; i < 20; i++ {
+		writeEvents(t, st, fmt.Sprintf("app.seg%d", i), 3) // each commit rotates a 256-byte segment
+	}
+	before := g.Value()
+	if before < 10 || before != onDisk() {
+		t.Fatalf("after rotations: gauge = %d, %d segment files on disk", before, onDisk())
+	}
+	if err := st.Close(); err != nil { // the farewell checkpoint compacts
+		t.Fatal(err)
+	}
+	if after := g.Value(); after >= before || after != onDisk() {
+		t.Fatalf("after a compacting checkpoint: gauge = %d (was %d), %d segment files on disk", after, before, onDisk())
+	}
+	st, g = open()
+	defer st.Close()
+	if g.Value() != onDisk() {
+		t.Fatalf("reopened: gauge = %d, %d segment files on disk", g.Value(), onDisk())
+	}
+}
+
+// sealCheckpoint wraps body in the magic, length and a valid CRC, so
+// only the structural checks can reject it.
+func sealCheckpoint(body []byte) []byte {
+	out := append([]byte(ckptMagic), make([]byte, 8)...)
+	binary.LittleEndian.PutUint32(out[len(ckptMagic):], uint32(len(body)))
+	binary.LittleEndian.PutUint32(out[len(ckptMagic)+4:], crc32.Checksum(body, castagnoli))
+	return append(out, body...)
+}
+
+// hugeAppsCheckpoint is a 60-byte checkpoint with a valid CRC whose
+// apps section claims 2^32−1 entries. A decoder that sizes its map
+// from the count before checking the bytes left exhausts memory.
+func hugeAppsCheckpoint() []byte {
+	body := make([]byte, 44)
+	binary.LittleEndian.PutUint32(body[28:], 1<<32-1)
+	return sealCheckpoint(body)
+}
+
+// TestDecodeCheckpointHugeCounts: a count no remaining bytes could
+// hold, in any section, is errBadCheckpoint — before anything is
+// allocated from it.
+func TestDecodeCheckpointHugeCounts(t *testing.T) {
+	raw := hugeAppsCheckpoint()
+	if len(raw) != 60 {
+		t.Fatalf("regression file is %d bytes, want 60", len(raw))
+	}
+	if _, err := decodeCheckpoint(raw); !errors.Is(err, errBadCheckpoint) {
+		t.Fatalf("2^32-1 apps: err = %v, want errBadCheckpoint", err)
+	}
+	// The empty checkpoint's body is the 28-byte header and five zero
+	// counts: apps, cur, prev, timelines, fingerprints.
+	empty := (&checkpoint{}).encode()[len(ckptMagic)+8:]
+	for i, section := range []string{"apps", "cur", "prev", "timelines", "fingerprints"} {
+		body := append(append([]byte(nil), empty...), make([]byte, 12)...)
+		binary.LittleEndian.PutUint32(body[28+4*i:], 1<<32-1)
+		if _, err := decodeCheckpoint(sealCheckpoint(body)); !errors.Is(err, errBadCheckpoint) {
+			t.Errorf("%s count 2^32-1: err = %v, want errBadCheckpoint", section, err)
+		}
+	}
+	// A generation that names one key twice is not a set.
+	dup := &checkpoint{apps: map[string]int64{}, cur: keySetOf("k")}
+	dup.cur.slab = append(dup.cur.slab, dup.cur.slab...)
+	dup.cur.n = 2
+	if _, err := decodeCheckpoint(dup.encode()); !errors.Is(err, errBadCheckpoint) {
+		t.Errorf("duplicate dedup key: err = %v, want errBadCheckpoint", err)
+	}
+}
+
+// realCheckpoint returns the farewell checkpoint of a small shard that
+// has rotated its dedup window and holds tallies, evicting timelines
+// and fingerprints.
+func realCheckpoint(tb testing.TB) []byte {
+	dir := tb.TempDir()
+	st, _, err := Open(Config{Dir: dir, Shards: 1, DedupWindow: 6, TimelineCap: 4, Threshold: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	feedState(tb, st, 2)
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "shard-000", ckptName(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// feedState ingests a fixed stream of batches of ten events —
+// tallies, duplicates, out-of-order event times, dedup rotations — and
+// two fingerprints.
+func feedState(tb testing.TB, st *Store, batches int) {
+	for b := 0; b < batches; b++ {
+		var evs []report.Event
+		for i := 0; i < 10; i++ {
+			k := (b*7 + i*3) % 25
+			evs = append(evs, tev(fmt.Sprintf("app.%d", k%3), fmt.Sprintf("b%d", k), int64((k*37)%50)))
+		}
+		if _, _, err := st.Ingest(evs); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, app := range []string{"app.1", "app.0"} {
+		if _, err := st.PutFingerprint(Fingerprint{App: app, Digests: fpDigests(app, 2)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// FuzzDecodeCheckpoint: any input is rejected with errBadCheckpoint, or
+// it decodes, re-encodes and decodes again to the same state. Nothing
+// panics and no count sizes an allocation past the input. Each input
+// is tried as a whole file and, sealed with a valid CRC, as a body —
+// the CRC would otherwise hide the structure from the mutator.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, raw := range [][]byte{hugeAppsCheckpoint(), realCheckpoint(f)} {
+		f.Add(raw)
+		f.Add(raw[len(ckptMagic)+8:])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, raw := range [][]byte{in, sealCheckpoint(in)} {
+			c, err := decodeCheckpoint(raw)
+			if err != nil {
+				if !errors.Is(err, errBadCheckpoint) {
+					t.Fatalf("decode error %v does not wrap errBadCheckpoint", err)
+				}
+				continue
+			}
+			again, err := decodeCheckpoint(c.encode())
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(c, again) {
+				t.Fatalf("state changed across re-encode:\n first %+v\n again %+v", c, again)
+			}
+		}
+	})
+}
+
+// TestCheckpointBytesDeterministic: two stores fed the same events
+// write byte-identical checkpoint files — sections in sorted app
+// order, dedup keys in admission order.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		st, _ := mustOpen(t, Config{Dir: dir, Shards: 2, DedupWindow: 16, TimelineCap: 8, Threshold: 2})
+		feedState(t, st, 6)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for shard := 0; shard < 2; shard++ {
+		name := filepath.Join(fmt.Sprintf("shard-%03d", shard), ckptName(1))
+		a, errA := os.ReadFile(filepath.Join(dirs[0], name))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], name))
+		if errA != nil || errB != nil {
+			t.Fatalf("reading %s: %v, %v", name, errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two stores fed the same events", name)
+		}
+	}
+}
+
+// TestCheckpointShuffledKeysRestore: checkpoints whose key sections are
+// in any order — map order, as older writers left them — restore the
+// same dedup answers as the insertion-ordered original.
+func TestCheckpointShuffledKeysRestore(t *testing.T) {
+	cfg := func(dir string) Config {
+		return Config{Dir: dir, Shards: 1, DedupWindow: 16, TimelineCap: 8, Threshold: 2, MaxBatch: 1}
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		st, _ := mustOpen(t, cfg(dir))
+		feedState(t, st, 6)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dirs[1], "shard-000", ckptName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := decodeCheckpoint(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.prev.len() == 0 {
+		t.Fatal("fixture never rotated its dedup window")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, set := range []*keySet{&c.cur, &c.prev} {
+		keys := ksKeys(set)
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		*set = keySetOf(keys...)
+	}
+	shuffled := c.encode()
+	if bytes.Equal(shuffled, raw) {
+		t.Fatal("shuffle left the key sections in order")
+	}
+	if err := os.WriteFile(path, shuffled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both restored stores see one probe stream, one event per commit:
+	// old keys, new keys, and enough of them to rotate again.
+	var got [2][]string
+	for i, dir := range dirs {
+		st, stats := mustOpen(t, cfg(dir))
+		if stats.Checkpoints != 1 {
+			t.Fatalf("store %d did not restore its checkpoint: %+v", i, stats)
+		}
+		for k := 0; k < 60; k++ {
+			a, d, err := st.Ingest([]report.Event{tev(fmt.Sprintf("app.%d", k%3), fmt.Sprintf("b%d", k%40), int64(k))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = append(got[i], fmt.Sprintf("%d/%d", a, d))
+		}
+		for app := 0; app < 3; app++ {
+			got[i] = append(got[i], fmt.Sprintf("%+v", st.Timeline(fmt.Sprintf("app.%d", app))))
+		}
+		st.Close()
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("shuffled key order changed dedup answers:\n ordered  %v\n shuffled %v", got[0], got[1])
 	}
 }

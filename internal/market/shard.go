@@ -68,15 +68,22 @@ type shard struct {
 	// it to name the shards that missed the drain deadline.
 	sealed atomic.Bool
 
-	// Two-generation dedup window: lookups check both maps, inserts go
+	// Two-generation dedup window: lookups check both sets, inserts go
 	// to cur, and when cur reaches DedupWindow keys the generations
-	// rotate (prev is dropped, cur becomes prev). A key is therefore
-	// remembered for at least DedupWindow and at most 2×DedupWindow
-	// admissions. Replay re-inserts every WAL record in order, which
-	// reproduces the rotation sequence — and so the window's exact
-	// state — from the log alone; a checkpoint snapshots both maps, so
-	// restoring one and replaying the tail lands in the identical state.
-	cur, prev map[string]struct{}
+	// rotate (prev is dropped and its memory becomes the new cur, the
+	// old cur becomes prev). A key is therefore remembered for at least
+	// DedupWindow and at most 2×DedupWindow admissions. Replay
+	// re-inserts every WAL record in order, which reproduces the
+	// rotation sequence — and so the window's exact state — from the
+	// log alone; a checkpoint snapshots both sets, so restoring one and
+	// replaying the tail lands in the identical state.
+	cur, prev keySet
+
+	// Worker-owned scratch for commit, reused across batches: the keys
+	// already taken by the batch being committed, and the key hashes of
+	// the events it admits.
+	inBatch keySet
+	hashes  []uint32
 
 	// fps is the shard's slice of the fingerprint registry: latest
 	// canonical digest set per owned app (last write wins, serialized
@@ -99,10 +106,18 @@ type shard struct {
 	cCkpts     *obs.Counter
 	cCkptFails *obs.Counter
 	cCompacted *obs.Counter
+	gWALSegs   *obs.Gauge
 	hFlushUs   *obs.Histogram
 	hCkptUs    *obs.Histogram
+	hCkptPhase [len(ckptPhases)]*obs.Histogram
 	cCkptBytes *obs.Counter
 }
+
+// ckptPhases name the stretches of one checkpoint, in order:
+// syncing the WAL through the snapshot position, copying the state
+// the worker shares with readers, encoding, and committing the file
+// (create, write, fsync, rename, directory fsync).
+var ckptPhases = [...]string{"wal_sync", "copy", "encode", "write"}
 
 // shardCkptState is the worker-owned checkpoint bookkeeping.
 type shardCkptState struct {
@@ -128,7 +143,6 @@ func newShard(id int, cfg Config, idx *similarity.Index) (*shard, ReplayStats, e
 		idx:    idx,
 		ch:     make(chan ingestReq, cfg.QueueCap),
 		exited: make(chan struct{}),
-		cur:    make(map[string]struct{}),
 		fps:    make(map[string][]string),
 		apps:   make(map[string]int64),
 		tls:    make(map[string]*appTimeline),
@@ -142,6 +156,10 @@ func newShard(id int, cfg Config, idx *similarity.Index) (*shard, ReplayStats, e
 		cCkpts:     cfg.Obs.Counter(obs.L("market_checkpoints_total", "shard", label)),
 		cCkptFails: cfg.Obs.Counter(obs.L("market_checkpoint_failures_total", "shard", label)),
 		cCompacted: cfg.Obs.Counter(obs.L("market_compacted_segments_total", "shard", label)),
+		// Live WAL segment files: rotation adds one, compaction behind
+		// a checkpoint removes some, and when checkpoints fall depends
+		// on group-commit boundaries — hence Volatile.
+		gWALSegs: cfg.Obs.Gauge(obs.L("market_wal_segments", "shard", label), obs.Volatile()),
 		// Unlabeled and shared across shards: one histogram of WAL
 		// group-commit flush durations for the whole store (wall clock,
 		// hence Volatile) — the "group-commit flush" leg of the
@@ -154,6 +172,13 @@ func newShard(id int, cfg Config, idx *similarity.Index) (*shard, ReplayStats, e
 		// too.
 		hCkptUs:    cfg.Obs.Histogram(obs.L("market_checkpoint_us", "shard", label), obs.ExpBuckets(50, 4, 12), obs.Volatile()),
 		cCkptBytes: cfg.Obs.Counter(obs.L("market_checkpoint_bytes_total", "shard", label), obs.Volatile()),
+	}
+	// The same duration split by phase, so a slow checkpoint shows
+	// whether the disk (wal_sync, write) or the worker's own copy and
+	// encode dominate.
+	for i, phase := range ckptPhases {
+		s.hCkptPhase[i] = cfg.Obs.Histogram(obs.L("market_checkpoint_phase_us", "shard", label, "phase", phase),
+			obs.ExpBuckets(50, 4, 12), obs.Volatile())
 	}
 	s.dir = cfg.Dir + "/" + fmt.Sprintf("shard-%03d", id)
 
@@ -169,6 +194,7 @@ func newShard(id int, cfg Config, idx *similarity.Index) (*shard, ReplayStats, e
 		idx.Set(app, digests)
 	}
 	s.cRecords.Add(stats.Records)
+	s.gWALSegs.Set(int64(s.w.live))
 	go s.run()
 	return s, stats, nil
 }
@@ -197,8 +223,9 @@ func (s *shard) replayRecord(p []byte) error {
 	if err != nil {
 		return err
 	}
-	if key := ev.Key(); !s.isDup(key) {
-		s.admit(ev, key)
+	key := ev.Key()
+	if h := ksHash(key); !s.isDup(key, h) {
+		s.admit(ev, key, h)
 	}
 	s.ckpt.records++
 	return nil
@@ -230,14 +257,8 @@ func (s *shard) open() (ReplayStats, error) {
 			continue // torn or garbage snapshot: try the next-older one
 		}
 		s.cur, s.prev, s.apps, s.tls, s.fps = c.cur, c.prev, c.apps, c.tls, c.fps
-		if s.prev == nil {
-			s.prev = map[string]struct{}{}
-		}
-		if s.tls == nil {
-			s.tls = map[string]*appTimeline{}
-		}
-		if s.fps == nil {
-			s.fps = map[string][]string{}
+		for _, tl := range s.tls {
+			tl.split(s.tlHead())
 		}
 		s.ckpt.records = c.records
 		w, stats, err := openWAL(s.cfg.FS, s.dir, s.cfg.SegmentBytes, s.cfg.Fsync, c.pos, s.replayRecord)
@@ -245,7 +266,7 @@ func (s *shard) open() (ReplayStats, error) {
 			// The snapshot decodes but the WAL cannot honor its position
 			// (stale checkpoint over truncated segments). errBadStart is
 			// guaranteed pre-replay, so resetting here is complete.
-			s.cur, s.prev, s.apps = make(map[string]struct{}), nil, make(map[string]int64)
+			s.cur, s.prev, s.apps = keySet{}, keySet{}, make(map[string]int64)
 			s.tls = make(map[string]*appTimeline)
 			s.fps = make(map[string][]string)
 			s.ckpt.records = 0
@@ -302,29 +323,26 @@ func (s *shard) listCheckpoints() []ckptFile {
 	return out
 }
 
-// admit records one event, whose Key() is key, as accepted: it enters
-// the dedup window and its app's tally. Called — behind the same isDup
-// gate, in identical order — for every event the worker commits and
-// for every record the WAL replays; the two paths must stay
-// byte-for-byte the same or a restart would change verdicts.
-func (s *shard) admit(ev report.Event, key string) {
-	if len(s.cur) >= s.cfg.DedupWindow {
-		s.prev = s.cur
-		s.cur = make(map[string]struct{}, s.cfg.DedupWindow)
+// admit records one event, whose Key() is key and whose ksHash is h,
+// as accepted: it enters the dedup window and its app's tally. Called
+// — behind the same isDup gate, in identical order — for every event
+// the worker commits and for every record the WAL replays; the two
+// paths must stay byte-for-byte the same or a restart would change
+// verdicts.
+func (s *shard) admit(ev report.Event, key string, h uint32) {
+	if s.cur.len() >= s.cfg.DedupWindow {
+		s.cur, s.prev = s.prev, s.cur
+		s.cur.reset()
 	}
-	s.cur[key] = struct{}{}
+	s.cur.add(key, h)
 	s.mu.Lock()
 	s.apps[ev.App]++
 	s.tlInsertLocked(ev, key)
 	s.mu.Unlock()
 }
 
-func (s *shard) isDup(key string) bool {
-	if _, ok := s.cur[key]; ok {
-		return true
-	}
-	_, ok := s.prev[key]
-	return ok
+func (s *shard) isDup(key string, h uint32) bool {
+	return s.cur.has(key, h) || s.prev.has(key, h)
 }
 
 // appCount reads one app's tally (Verdict path).
@@ -394,7 +412,8 @@ func (s *shard) commit(batch []ingestReq, total int) {
 	admitted := make([]report.Event, 0, total)
 	admittedKeys := make([]string, 0, total)
 	var fpApplied []*Fingerprint
-	inBatch := make(map[string]struct{}, total)
+	s.inBatch.reset()
+	s.hashes = s.hashes[:0]
 	// Every event record is encoded into buf; each payload is a capped
 	// slice of it. Should buf outgrow its estimate, earlier payloads
 	// keep pointing into the old array, whose bytes never change.
@@ -429,7 +448,8 @@ func (s *shard) commit(batch []ingestReq, total int) {
 		}
 		for ei, ev := range req.evs {
 			key := req.keys[ei]
-			if _, ok := inBatch[key]; ok || s.isDup(key) {
+			h := ksHash(key)
+			if s.inBatch.has(key, h) || s.isDup(key, h) {
 				results[bi].dups++
 				continue
 			}
@@ -446,10 +466,11 @@ func (s *shard) commit(batch []ingestReq, total int) {
 				oversized++
 				continue
 			}
-			inBatch[key] = struct{}{}
+			s.inBatch.add(key, h)
 			payloads = append(payloads, buf[lo:len(buf):len(buf)])
 			admitted = append(admitted, ev)
 			admittedKeys = append(admittedKeys, key)
+			s.hashes = append(s.hashes, h)
 			results[bi].accepted++
 		}
 	}
@@ -461,6 +482,7 @@ func (s *shard) commit(batch []ingestReq, total int) {
 			err = fmt.Errorf("%w: shard %d wal append: %v", ErrDegraded, s.id, werr)
 		}
 		s.hFlushUs.Observe(time.Since(flushStart).Microseconds())
+		s.gWALSegs.Set(int64(s.w.live))
 	}
 	if err != nil {
 		for bi := range results {
@@ -468,7 +490,7 @@ func (s *shard) commit(batch []ingestReq, total int) {
 		}
 	} else {
 		for i, ev := range admitted {
-			s.admit(ev, admittedKeys[i])
+			s.admit(ev, admittedKeys[i], s.hashes[i])
 		}
 		// Fingerprints apply in WAL order (last write wins), to the
 		// worker-owned slice and the store-global index together.
@@ -555,16 +577,25 @@ func (s *shard) takeCheckpoint() {
 	if n, err := s.w.RemoveBehind(pos.Seg); err == nil && n > 0 {
 		s.cCompacted.Add(int64(n))
 	}
+	s.gWALSegs.Set(int64(s.w.live))
 }
 
 // writeCheckpoint commits the snapshot covering pos and returns the
-// bytes it wrote to the snapshot file.
+// bytes it wrote to the snapshot file. Each phase that completes is
+// observed into its market_checkpoint_phase_us series.
 func (s *shard) writeCheckpoint(pos walPos) (int, error) {
+	t := time.Now()
+	phaseDone := func(i int) {
+		now := time.Now()
+		s.hCkptPhase[i].Observe(now.Sub(t).Microseconds())
+		t = now
+	}
 	// The snapshot must never claim bytes the disk does not hold: sync
 	// the WAL first, even when routine commits run without Fsync.
 	if err := s.w.Sync(); err != nil {
 		return 0, err
 	}
+	phaseDone(0)
 	s.mu.Lock()
 	apps := make(map[string]int64, len(s.apps))
 	for app, n := range s.apps {
@@ -572,18 +603,18 @@ func (s *shard) writeCheckpoint(pos walPos) (int, error) {
 	}
 	tls := make(map[string]*appTimeline, len(s.tls))
 	for app, tl := range s.tls {
-		tls[app] = &appTimeline{
-			entries: append([]tlEntry(nil), tl.entries...),
-			evicted: tl.evicted,
-		}
+		tls[app] = tl.flat()
 	}
 	s.mu.Unlock()
 	// Digest slices are immutable once stored, so the map copy is
-	// shallow; the worker owns s.fps, so no lock is needed.
+	// shallow; the worker owns s.fps and the dedup sets, so they need
+	// no lock, and the encode below finishes before the worker admits
+	// again.
 	fps := make(map[string][]string, len(s.fps))
 	for app, digests := range s.fps {
 		fps[app] = digests
 	}
+	phaseDone(1)
 	c := &checkpoint{
 		seq:     s.ckpt.seq + 1,
 		pos:     pos,
@@ -595,6 +626,7 @@ func (s *shard) writeCheckpoint(pos walPos) (int, error) {
 		fps:     fps,
 	}
 	enc := c.encode()
+	phaseDone(2)
 
 	final := s.dir + "/" + ckptName(c.seq)
 	tmp := final + ".tmp"
@@ -617,7 +649,11 @@ func (s *shard) writeCheckpoint(pos walPos) (int, error) {
 	if err := s.cfg.FS.Rename(tmp, final); err != nil {
 		return n, err
 	}
-	return n, s.cfg.FS.SyncDir(s.dir)
+	if err := s.cfg.FS.SyncDir(s.dir); err != nil {
+		return n, err
+	}
+	phaseDone(3)
+	return n, nil
 }
 
 // close stops the worker (after the queue drains), takes a farewell

@@ -1,10 +1,6 @@
 package market
 
-import (
-	"sort"
-
-	"bombdroid/internal/report"
-)
+import "bombdroid/internal/report"
 
 // Verdict timelines: per-app event-time histories of how the tally
 // climbed from first report to threshold crossing — the measured form
@@ -49,10 +45,24 @@ func tlLess(a, b tlEntry) bool {
 	return a.tie < b.tie
 }
 
-// appTimeline is one shard's bounded history for one app.
+// appTimeline is one shard's bounded history for one app, kept as the
+// never-evicted head plus a tail ring so that every admission costs
+// O(1) once the history is full; one sorted slice would shift up to
+// TimelineCap entries twice per event. In (at, tie) order the retained entries are head,
+// then tail[start:], then tail[:start]. head is sorted and holds the
+// earliest min(n, tlHead) entries; the tail holds the rest and is
+// non-empty only once head is full. While it grows (len(tail) below
+// the shard's TimelineCap − tlHead) the tail is a plain sorted slice
+// with start = 0; from then on it is a full ring whose front, the
+// oldest non-head entry, is the eviction victim.
+//
+// A timeline decoded from a checkpoint arrives flat — every entry in
+// head — and split moves the entries past tlHead into the tail.
 type appTimeline struct {
-	entries []tlEntry // sorted by (at, tie)
-	evicted int64     // entries dropped at index head (the mid-gap)
+	head    []tlEntry
+	tail    []tlEntry
+	start   int   // ring index of the oldest tail entry
+	evicted int64 // entries dropped at index head (the mid-gap)
 }
 
 // tlInsertLocked admits one report, whose Key() is key, into the
@@ -67,18 +77,91 @@ func (s *shard) tlInsertLocked(ev report.Event, key string) {
 		tl = &appTimeline{}
 		s.tls[ev.App] = tl
 	}
-	e := tlEntry{at: ev.TimeMs, tie: tlTie(key)}
-	i := sort.Search(len(tl.entries), func(i int) bool { return !tlLess(tl.entries[i], e) })
-	tl.entries = append(tl.entries, tlEntry{})
-	copy(tl.entries[i+1:], tl.entries[i:])
-	tl.entries[i] = e
-	if len(tl.entries) > s.cfg.TimelineCap {
-		// Evict the oldest non-head entry; the head (earliest tlHead
-		// entries, tlHead = verdict threshold) is never touched.
-		h := s.tlHead()
-		tl.entries = append(tl.entries[:h], tl.entries[h+1:]...)
-		tl.evicted++
+	tl.insert(tlEntry{at: ev.TimeMs, tie: tlTie(key)}, s.tlHead(), s.cfg.TimelineCap-s.tlHead())
+}
+
+// insert admits e into a timeline with head length h and tail room
+// tcap. The result is the sorted-list rule exactly: insert e in
+// order, then, past TimelineCap entries, drop the one at index h —
+// the smallest of the tail and e when e lands outside the head.
+func (tl *appTimeline) insert(e tlEntry, h, tcap int) {
+	if h > 0 && (len(tl.head) < h || tlLess(e, tl.head[h-1])) {
+		if len(tl.head) < h {
+			// Growing head: the tail is still empty.
+			tl.head = append(tl.head, e)
+		} else {
+			// e displaces the head's last entry, which becomes the
+			// tail's smallest: evicted outright when the tail is full.
+			spill := tl.head[h-1]
+			tl.head[h-1] = e
+			if len(tl.tail) >= tcap {
+				tl.evicted++
+			} else {
+				tl.tail = append(tl.tail, tlEntry{})
+				copy(tl.tail[1:], tl.tail)
+				tl.tail[0] = spill
+			}
+		}
+		for i := len(tl.head) - 1; i > 0 && tlLess(tl.head[i], tl.head[i-1]); i-- {
+			tl.head[i], tl.head[i-1] = tl.head[i-1], tl.head[i]
+		}
+		return
 	}
+	n := len(tl.tail)
+	if n < tcap {
+		tl.tail = append(tl.tail, e)
+		for i := n; i > 0 && tlLess(e, tl.tail[i-1]); i-- {
+			tl.tail[i], tl.tail[i-1] = tl.tail[i-1], e
+		}
+		return
+	}
+	// Full ring: the victim is min(front, e).
+	tl.evicted++
+	if tlLess(e, tl.tail[tl.start]) {
+		return
+	}
+	// Pop the front; its slot is now the back. Walk e forward from
+	// there: a late arrival costs its distance from the back.
+	j := tl.start // physical index of the hole
+	tl.start++
+	if tl.start == n {
+		tl.start = 0
+	}
+	for j != tl.start {
+		p := j - 1
+		if p < 0 {
+			p = n - 1
+		}
+		if !tlLess(e, tl.tail[p]) {
+			break
+		}
+		tl.tail[j] = tl.tail[p]
+		j = p
+	}
+	tl.tail[j] = e
+}
+
+// split moves a flat timeline's entries past the first h into the
+// tail. The head is full from then on and never grows, so the two
+// slices may share one array.
+func (tl *appTimeline) split(h int) {
+	if len(tl.head) > h {
+		tl.head, tl.tail = tl.head[:h:h], tl.head[h:]
+	}
+}
+
+// appendEntries appends the retained entries in (at, tie) order.
+func (tl *appTimeline) appendEntries(dst []tlEntry) []tlEntry {
+	dst = append(dst, tl.head...)
+	dst = append(dst, tl.tail[tl.start:]...)
+	return append(dst, tl.tail[:tl.start]...)
+}
+
+// flat is a copy of tl with every entry in head, the form checkpoints
+// encode and decode.
+func (tl *appTimeline) flat() *appTimeline {
+	n := len(tl.head) + len(tl.tail)
+	return &appTimeline{head: tl.appendEntries(make([]tlEntry, 0, n)), evicted: tl.evicted}
 }
 
 // tlHead is the per-shard never-evicted prefix length. Clamped below
@@ -113,7 +196,7 @@ func (s *shard) tlSnapshot(app string) (entries []tlEntry, evicted int64) {
 	if tl == nil {
 		return nil, 0
 	}
-	return append([]tlEntry(nil), tl.entries...), tl.evicted
+	return tl.appendEntries(nil), tl.evicted
 }
 
 // TimelineEntry is one point on an app's verdict timeline, in event

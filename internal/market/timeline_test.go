@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"bombdroid/internal/report"
@@ -250,9 +251,9 @@ func TestCheckpointTimelineRoundTrip(t *testing.T) {
 		seq:  3,
 		pos:  walPos{Seg: 1, Off: 77},
 		apps: map[string]int64{"a": 2},
-		cur:  map[string]struct{}{"k": {}},
+		cur:  keySetOf("k"),
 		tls: map[string]*appTimeline{
-			"a": {entries: []tlEntry{{at: 5, tie: 9}, {at: 7, tie: 1}}, evicted: 4},
+			"a": {head: []tlEntry{{at: 5, tie: 9}, {at: 7, tie: 1}}, evicted: 4},
 			"b": {},
 		},
 	}
@@ -263,13 +264,13 @@ func TestCheckpointTimelineRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.tls["a"], c.tls["a"]) {
 		t.Errorf("timeline a round-trip: got %+v, want %+v", got.tls["a"], c.tls["a"])
 	}
-	if tl := got.tls["b"]; tl == nil || len(tl.entries) != 0 || tl.evicted != 0 {
+	if tl := got.tls["b"]; tl == nil || len(tl.head) != 0 || tl.evicted != 0 {
 		t.Errorf("empty timeline b round-trip: %+v", tl)
 	}
 
 	// A nil tls map (as old in-memory states might build) encodes as a
 	// zero-count section and decodes to an empty map.
-	noTL := &checkpoint{seq: 1, apps: map[string]int64{}, cur: map[string]struct{}{}}
+	noTL := &checkpoint{seq: 1, apps: map[string]int64{}}
 	got, err = decodeCheckpoint(noTL.encode())
 	if err != nil {
 		t.Fatalf("decode nil-tls: %v", err)
@@ -288,8 +289,8 @@ func TestCheckpointTimelineRoundTrip(t *testing.T) {
 	// An entry count claiming more than the remaining bytes must fail
 	// cleanly instead of allocating or over-reading — with the CRC
 	// recomputed so the structural guard, not the checksum, catches it.
-	single := &checkpoint{seq: 1, apps: map[string]int64{}, cur: map[string]struct{}{},
-		tls: map[string]*appTimeline{"a": {entries: []tlEntry{{at: 5, tie: 9}}}}}
+	single := &checkpoint{seq: 1, apps: map[string]int64{},
+		tls: map[string]*appTimeline{"a": {head: []tlEntry{{at: 5, tie: 9}}}}}
 	bad := single.encode()
 	body := bad[len(ckptMagic)+8:]
 	// The entry count sits before the 16-byte entry and the trailing
@@ -298,5 +299,79 @@ func TestCheckpointTimelineRoundTrip(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[len(ckptMagic)+4:], crc32.Checksum(body, castagnoli))
 	if _, err := decodeCheckpoint(bad); err == nil {
 		t.Error("oversized entry count decoded")
+	}
+}
+
+// oracleTimeline is the sorted-slice timeline the head-plus-ring one
+// replaced, kept as the reference it must match: insert in (at, tie)
+// order, then past cap drop the entry at index h.
+type oracleTimeline struct {
+	entries []tlEntry
+	evicted int64
+}
+
+func (o *oracleTimeline) insert(e tlEntry, h, cap int) {
+	i := sort.Search(len(o.entries), func(i int) bool { return !tlLess(o.entries[i], e) })
+	o.entries = append(o.entries, tlEntry{})
+	copy(o.entries[i+1:], o.entries[i:])
+	o.entries[i] = e
+	if len(o.entries) > cap {
+		o.entries = append(o.entries[:h], o.entries[h+1:]...)
+		o.evicted++
+	}
+}
+
+// TestTimelineRingMatchesOracle feeds random arrival orders — in
+// order, reversed, shuffled, with late stragglers and repeated
+// entries — to the ring timeline and the oracle, over random caps and
+// head lengths, and requires identical entries and evicted counts
+// after every insert. Some runs start from a flat timeline of any
+// length, split as a checkpoint load splits it, which covers a tail
+// longer than the ring's room.
+func TestTimelineRingMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 3000; trial++ {
+		cap := 1 + rng.Intn(24)
+		h := rng.Intn(cap)
+		n := rng.Intn(120)
+		times := make([]tlEntry, n)
+		for i := range times {
+			times[i] = tlEntry{at: int64(rng.Intn(40)), tie: uint64(rng.Intn(4))}
+		}
+		switch rng.Intn(4) {
+		case 0:
+			sort.Slice(times, func(i, j int) bool { return tlLess(times[i], times[j]) })
+		case 1:
+			sort.Slice(times, func(i, j int) bool { return tlLess(times[j], times[i]) })
+		case 2:
+			// Mostly in order, a few late arrivals.
+			sort.Slice(times, func(i, j int) bool { return tlLess(times[i], times[j]) })
+			for k := 0; k < n/8; k++ {
+				i, j := rng.Intn(n), rng.Intn(n)
+				times[i], times[j] = times[j], times[i]
+			}
+		}
+		var tl appTimeline
+		var o oracleTimeline
+		if rng.Intn(3) == 0 {
+			flat := make([]tlEntry, rng.Intn(cap+6))
+			for i := range flat {
+				flat[i] = tlEntry{at: int64(rng.Intn(40)), tie: uint64(rng.Intn(4))}
+			}
+			sort.Slice(flat, func(i, j int) bool { return tlLess(flat[i], flat[j]) })
+			ev := int64(rng.Intn(5))
+			o = oracleTimeline{entries: append([]tlEntry(nil), flat...), evicted: ev}
+			tl = appTimeline{head: flat, evicted: ev}
+			tl.split(h)
+		}
+		for i, e := range times {
+			tl.insert(e, h, cap-h)
+			o.insert(e, h, cap)
+			got := tl.appendEntries(nil)
+			if !reflect.DeepEqual(got, o.entries) && (len(got) != 0 || len(o.entries) != 0) || tl.evicted != o.evicted {
+				t.Fatalf("trial %d (cap %d, head %d) after insert %d of %v:\n ring   %v evicted %d\n oracle %v evicted %d",
+					trial, cap, h, i, e, got, tl.evicted, o.entries, o.evicted)
+			}
+		}
 	}
 }

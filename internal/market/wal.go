@@ -70,6 +70,7 @@ type wal struct {
 	fsync    bool
 
 	seg  int // index of the open segment
+	live int // segment files on disk
 	size int64
 	f    marketfs.File
 	w    *bufio.Writer
@@ -206,7 +207,7 @@ func openWAL(fsys marketfs.FS, dir string, segBytes int64, fsync bool, start wal
 		stats.Segments = 1 // the fresh segment created below
 	}
 
-	w := &wal{fs: fsys, dir: dir, segBytes: segBytes, fsync: fsync, seg: last}
+	w := &wal{fs: fsys, dir: dir, segBytes: segBytes, fsync: fsync, seg: last, live: max(len(segs), 1)}
 	if err := w.openSegment(); err != nil {
 		return nil, ReplayStats{}, err
 	}
@@ -366,7 +367,11 @@ func (w *wal) rotate() error {
 		return err
 	}
 	w.seg++
-	return w.openSegment()
+	if err := w.openSegment(); err != nil {
+		return err
+	}
+	w.live++
+	return nil
 }
 
 // Position reports the durable cursor after the last committed batch:
@@ -402,6 +407,7 @@ func (w *wal) RemoveBehind(seg int) (int, error) {
 			return removed, err
 		}
 		removed++
+		w.live--
 	}
 	if removed > 0 {
 		if err := w.fs.SyncDir(w.dir); err != nil {
@@ -410,9 +416,6 @@ func (w *wal) RemoveBehind(seg int) (int, error) {
 	}
 	return removed, nil
 }
-
-// Segments reports how many segment files exist on disk right now.
-func (w *wal) Segments() int { return w.seg + 1 }
 
 func (w *wal) Close() error {
 	if err := w.w.Flush(); err != nil {

@@ -2,8 +2,8 @@
 # Full verification: build, vet, a gofmt check, race-enabled tests
 # (the VM package first, then the whole tree), the quickened-vs-
 # reference differential step, vet and short tests of the cmd/benchrun
-# module, and 20s fuzzes of the similarity index, the Event JSON codec
-# and the report-body decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
+# module, and 20s fuzzes of the similarity index, the Event JSON codec,
+# the report-body decoder and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate on top of it. The
 # end-to-end CLI and market proofs (batch protection and cancellation,
 # daemon SIGTERM/SIGKILL recovery, timelines, fingerprints, the
@@ -64,5 +64,13 @@ echo "==> fuzz: ReadReports vs the encoding/json-only decode (20s)"
 # Plain, gzip and truncated gzip bodies, small batch caps and small
 # reads: events, status code and error text must match the oracle.
 go test -run '^$' -fuzz FuzzReadReports -fuzztime 20s ./internal/market
+
+echo "==> fuzz: checkpoint decoder, decode/re-encode round trip (20s)"
+# Whole files and CRC-sealed bodies: every input is errBadCheckpoint or
+# decodes, re-encodes and decodes to the same state; no count may size
+# an allocation past the input. Minimizing a new input tries every
+# byte range, which for a several-hundred-byte checkpoint would eat the
+# whole budget, so each minimization is capped at 2s.
+go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 20s -fuzzminimizetime 2s ./internal/market
 
 echo "verify: OK"
