@@ -247,7 +247,7 @@ func naiveSite(f *dex.File, base, xReg int32, c dex.Value, ko string, resp vm.Re
 	r0 := base
 	switch c.Kind {
 	case dex.KindStr:
-		s.constStr(f, r0, c.Str)
+		s.constStr(f, r0, c.Str())
 		r1 := base + 1
 		s.move(r1, xReg)
 		s.move(base+2, r0)

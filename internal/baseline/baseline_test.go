@@ -166,7 +166,7 @@ func TestSSNDefeatedByReflectionCheck(t *testing.T) {
 	v := install(t, res.File, key, true)
 	intercepted := 0
 	v.Hook(dex.APIReflectCall, func(call vm.APICall) (dex.Value, bool, error) {
-		if len(call.Args) > 0 && call.Args[0].Str == "getPublicKey" {
+		if len(call.Args) > 0 && call.Args[0].Str() == "getPublicKey" {
 			intercepted++
 			// Return the original key: detection suppressed.
 			return dex.Str(key.PublicKeyHex()), true, nil

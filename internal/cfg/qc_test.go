@@ -174,7 +174,7 @@ func TestFindStringQC(t *testing.T) {
 	if strQC == nil {
 		t.Fatalf("no strong QC found in %d qcs", len(qcs))
 	}
-	if strQC.Const.Str != "admin" || strQC.StrOp != dex.APIStrEquals {
+	if strQC.Const.Str() != "admin" || strQC.StrOp != dex.APIStrEquals {
 		t.Errorf("const=%v op=%v", strQC.Const, strQC.StrOp)
 	}
 	if strQC.Reg != 0 {
@@ -201,7 +201,7 @@ func TestFindStartsWithQC(t *testing.T) {
 	qcs := FindQCs(f, m)
 	found := false
 	for _, q := range qcs {
-		if q.Kind == Strong && q.StrOp == dex.APIStrStartsWith && q.Const.Str == "http:" {
+		if q.Kind == Strong && q.StrOp == dex.APIStrStartsWith && q.Const.Str() == "http:" {
 			found = true
 		}
 	}

@@ -64,7 +64,7 @@ func TestStageAnalyzeMatchesConstructClone(t *testing.T) {
 				if !reflect.DeepEqual(ma.lv, want.lv) {
 					t.Errorf("%s seed %d %s: liveness differs from the clone's", app.Name, seed, m.FullName())
 				}
-				if !reflect.DeepEqual(ma.qcs, want.qcs) {
+				if !qcsEqual(ma.qcs, want.qcs) {
 					t.Errorf("%s seed %d %s: QCs differ from the clone's", app.Name, seed, m.FullName())
 				}
 			}
@@ -104,7 +104,7 @@ func TestAnalyzeMethodDetaches(t *testing.T) {
 		}
 		qcs[i].Method = nil
 	}
-	if !reflect.DeepEqual(ma.qcs, qcs) {
+	if !qcsEqual(ma.qcs, qcs) {
 		t.Error("QCs differ from cfg.FindQCsWithGraph")
 	}
 }
@@ -159,4 +159,46 @@ func TestEngineConcurrentReseedsShareAnalysis(t *testing.T) {
 			}
 		}
 	}
+}
+
+// qcsEqual compares two QC lists field by field. reflect.DeepEqual
+// would compare each constant's string data pointer, so it reads two
+// equal string constants with different backing bytes as different;
+// constants compare by sameValue instead.
+func qcsEqual(a, b []cfg.QC) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if !sameValue(x.Const, y.Const) {
+			return false
+		}
+		x.Const, y.Const = dex.Value{}, dex.Value{}
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue reports whether a and b hold the same kind, Int and string
+// bytes, and arrays with sameValue elements.
+func sameValue(a, b dex.Value) bool {
+	if a.Kind != b.Kind || a.Int != b.Int || a.Str() != b.Str() {
+		return false
+	}
+	x, y := a.Arr(), b.Arr()
+	if x == nil || y == nil {
+		return x == y
+	}
+	if len(*x) != len(*y) {
+		return false
+	}
+	for i := range *x {
+		if !sameValue((*x)[i], (*y)[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -237,7 +237,7 @@ func TestNoConstantInProtectedCode(t *testing.T) {
 		if b.Source == SourceBogus {
 			continue
 		}
-		if b.Const.Kind == dex.KindStr && len(b.Const.Str) >= 4 {
+		if b.Const.Kind == dex.KindStr && len(b.Const.Str()) >= 4 {
 			// The string constant may legitimately appear elsewhere in
 			// the app (it came from app code); what must NOT appear is
 			// the pairing inside the bomb site. Check the strong

@@ -83,7 +83,7 @@ func outerTriggerSeq(f *dex.File, t triggerSpec, base int32) []dex.Instr {
 		// ϕ is a prefix/suffix of the string in xReg; extract it, with
 		// a length guard so short strings bypass the bomb (semantics
 		// of startsWith/endsWith are preserved: they are false then).
-		litLen := int64(len(t.c.Str))
+		litLen := int64(len(t.c.Str()))
 		b1 := base + 1 // S
 		b2 := base + 2 // len(S)
 		b3 := base + 3 // len(lit)

@@ -60,7 +60,7 @@ func TestAssembleBasics(t *testing.T) {
 	if c == nil {
 		t.Fatal("class missing")
 	}
-	if len(c.Fields) != 2 || c.Fields[1].Init.Str != "start" {
+	if len(c.Fields) != 2 || c.Fields[1].Init.Str() != "start" {
 		t.Errorf("fields = %+v", c.Fields)
 	}
 	if got := len(c.Methods); got != 4 {

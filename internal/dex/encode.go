@@ -55,14 +55,15 @@ func (e *encoder) value(v Value) {
 	case KindInt, KindHandle:
 		e.varint(v.Int)
 	case KindStr, KindBytes:
-		e.string(v.Str)
+		e.string(v.Str())
 	case KindArr:
-		if v.Arr == nil {
+		a := v.Arr()
+		if a == nil {
 			e.uvarint(0)
 			return
 		}
-		e.uvarint(uint64(len(*v.Arr)))
-		for _, el := range *v.Arr {
+		e.uvarint(uint64(len(*a)))
+		for _, el := range *a {
 			e.value(el)
 		}
 	}

@@ -2,7 +2,9 @@ package dex
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"unsafe"
 )
 
 // ValueKind discriminates the dynamic type of a Value.
@@ -36,16 +38,32 @@ func (k ValueKind) String() string {
 }
 
 // Value is the dynamically typed slot stored in registers, static
-// fields, and arrays. The zero Value is nil. A KindBytes blob lives in
-// Str (immutable, like every blob the decoder produces): with no
-// separate slice field a Value is 40 bytes, so a (Value, error) result
-// still comes back in registers and a register copy moves five words.
+// fields, and arrays. The zero Value is nil.
+//
+// A Value is three words (24 bytes), so a register copy moves three
+// words and a (Value, error) result comes back in five registers. The
+// first word holds the kind and, for a string or blob, its byte length;
+// the second is Int; the third points at a string's or blob's bytes, or
+// at an array's slice header. A string therefore costs no allocation of
+// its own: Str and Bytes store the data pointer of the string they are
+// given, and the Str accessor rebuilds the header from the two words.
+// Read a string or array only through Str and Arr; both return the zero
+// result for any other kind.
+//
+// Value is deliberately not comparable: == would compare data pointers,
+// so two equal strings with different backing bytes would differ. Use
+// Equal.
 type Value struct {
+	_    [0]func()
 	Kind ValueKind
+	n    uint32 // byte length of a KindStr/KindBytes string, or boxed
 	Int  int64
-	Str  string
-	Arr  *[]Value
+	p    unsafe.Pointer // string bytes, a *string when n == boxed, or a *[]Value
 }
+
+// boxed marks a string too long for n: p then points at a string
+// header of its own. Only strings of 4 GiB and more take this path.
+const boxed = math.MaxUint32
 
 // Nil returns the nil value.
 func Nil() Value { return Value{} }
@@ -62,19 +80,59 @@ func Bool(b bool) Value {
 }
 
 // Str wraps a string.
-func Str(s string) Value { return Value{Kind: KindStr, Str: s} }
+func Str(s string) Value { return strValue(KindStr, s) }
 
-// Bytes wraps a byte blob.
-func Bytes(b []byte) Value { return Value{Kind: KindBytes, Str: string(b)} }
+// Bytes wraps a byte blob. The blob is copied, so later writes to b do
+// not show through.
+func Bytes(b []byte) Value { return strValue(KindBytes, string(b)) }
+
+// strValue wraps s as a value of kind k (KindStr or KindBytes) without
+// copying it.
+func strValue(k ValueKind, s string) Value {
+	if uint64(len(s)) >= boxed {
+		return boxStr(k, s)
+	}
+	return Value{Kind: k, n: uint32(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// boxStr keeps a string too long for n behind a header of its own. It
+// copies the header into a new box rather than taking s's address,
+// which would move every strValue argument to the heap.
+func boxStr(k ValueKind, s string) Value {
+	h := new(string)
+	*h = s
+	return Value{Kind: k, n: boxed, p: unsafe.Pointer(h)}
+}
 
 // NewArr allocates an array value of the given length.
-func NewArr(n int) Value {
-	s := make([]Value, n)
-	return Value{Kind: KindArr, Arr: &s}
-}
+func NewArr(n int) Value { return arrOf(make([]Value, n)) }
+
+// arrOf wraps s as an array value; the value refers to s's elements.
+func arrOf(s []Value) Value { return Value{Kind: KindArr, p: unsafe.Pointer(&s)} }
 
 // Handle wraps a runtime handle id.
 func Handle(id int64) Value { return Value{Kind: KindHandle, Int: id} }
+
+// Str returns the bytes of a KindStr or KindBytes value, and "" for
+// every other kind.
+func (v Value) Str() string {
+	if v.Kind != KindStr && v.Kind != KindBytes {
+		return ""
+	}
+	if v.n == boxed {
+		return *(*string)(v.p)
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
+// Arr returns the slice a KindArr value refers to, and nil for every
+// other kind. Writes through it are visible to every copy of v.
+func (v Value) Arr() *[]Value {
+	if v.Kind != KindArr {
+		return nil
+	}
+	return (*[]Value)(v.p)
+}
 
 // IsNil reports whether v is the nil value.
 func (v Value) IsNil() bool { return v.Kind == KindNil }
@@ -88,9 +146,9 @@ func (v Value) Truthy() bool {
 	case KindInt, KindHandle:
 		return v.Int != 0
 	case KindStr, KindBytes:
-		return v.Str != ""
+		return v.n != 0
 	case KindArr:
-		return v.Arr != nil && len(*v.Arr) != 0
+		return v.p != nil && len(*v.Arr()) != 0
 	}
 	return false
 }
@@ -107,9 +165,9 @@ func (v Value) Equal(o Value) bool {
 	case KindInt, KindHandle:
 		return v.Int == o.Int
 	case KindStr, KindBytes:
-		return v.Str == o.Str
+		return v.n == o.n && v.Str() == o.Str()
 	case KindArr:
-		return v.Arr == o.Arr
+		return v.p == o.p
 	}
 	return false
 }
@@ -123,9 +181,9 @@ func (v Value) Repr() []byte {
 	case KindInt:
 		return []byte("i:" + strconv.FormatInt(v.Int, 10))
 	case KindStr:
-		return append([]byte("s:"), v.Str...)
+		return append([]byte("s:"), v.Str()...)
 	case KindBytes:
-		return append([]byte("b:"), v.Str...)
+		return append([]byte("b:"), v.Str()...)
 	case KindHandle:
 		return []byte("h:" + strconv.FormatInt(v.Int, 10))
 	default:
@@ -141,14 +199,14 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
 	case KindStr:
-		return strconv.Quote(v.Str)
+		return strconv.Quote(v.Str())
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.Str))
+		return fmt.Sprintf("bytes[%d]", len(v.Str()))
 	case KindArr:
-		if v.Arr == nil {
+		if v.p == nil {
 			return "arr(nil)"
 		}
-		return fmt.Sprintf("arr[%d]", len(*v.Arr))
+		return fmt.Sprintf("arr[%d]", len(*v.Arr()))
 	case KindHandle:
 		return fmt.Sprintf("handle(%d)", v.Int)
 	}

@@ -407,14 +407,14 @@ func keyOf(v dex.Value) valueKey {
 	case dex.KindInt, dex.KindHandle:
 		return valueKey{kind: v.Kind, i: v.Int}
 	case dex.KindStr:
-		return valueKey{kind: v.Kind, s: v.Str}
+		return valueKey{kind: v.Kind, s: v.Str()}
 	case dex.KindBytes:
-		return valueKey{kind: v.Kind, i: int64(len(v.Str))}
+		return valueKey{kind: v.Kind, i: int64(len(v.Str()))}
 	case dex.KindArr:
-		if v.Arr == nil {
+		if v.Arr() == nil {
 			return valueKey{kind: v.Kind, i: -1}
 		}
-		return valueKey{kind: v.Kind, i: int64(len(*v.Arr))}
+		return valueKey{kind: v.Kind, i: int64(len(*v.Arr()))}
 	}
 	return valueKey{kind: 255}
 }

@@ -434,7 +434,7 @@ func (e *engine) apiCall(st *state, in dex.Instr) {
 	case dex.APIStrEquals, dex.APIStrStartsWith, dex.APIStrEndsWith, dex.APIStrContains:
 		if len(args) == 2 {
 			if args[0].IsConst() && args[1].IsConst() {
-				result = NewConst(evalStrCmpConst(api, args[0].Val.Str, args[1].Val.Str))
+				result = NewConst(evalStrCmpConst(api, args[0].Val.Str(), args[1].Val.Str()))
 			} else {
 				result = &Expr{Kind: EStrCmp, API: api, X: args[0], Y: args[1]}
 			}
@@ -466,7 +466,7 @@ func (e *engine) apiCall(st *state, in dex.Instr) {
 // two reads of the same variable share a symbol.
 func (e *engine) envName(args []*Expr, prefix string) string {
 	if len(args) == 1 && args[0].IsConst() {
-		return prefix + ":" + args[0].Val.Str
+		return prefix + ":" + args[0].Val.Str()
 	}
 	return e.freshName(prefix)
 }

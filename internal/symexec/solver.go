@@ -85,13 +85,13 @@ func (s *solver) add(c Constraint) (bool, string) {
 	if l.Kind == EStrSym && r.IsConst() && r.Val.Kind == dex.KindStr {
 		switch c.Cmp {
 		case CmpEq:
-			if prev, dup := s.strEq[l.Sym]; dup && prev != r.Val.Str {
+			if prev, dup := s.strEq[l.Sym]; dup && prev != r.Val.Str() {
 				return false, "conflicting string equalities on " + l.Sym
 			}
-			s.strEq[l.Sym] = r.Val.Str
+			s.strEq[l.Sym] = r.Val.Str()
 			return true, ""
 		case CmpNe:
-			s.strNe[l.Sym] = append(s.strNe[l.Sym], r.Val.Str)
+			s.strNe[l.Sym] = append(s.strNe[l.Sym], r.Val.Str())
 			return true, ""
 		}
 		return false, "ordered comparison on strings"
@@ -281,7 +281,7 @@ func (s *solver) addStrCmp(e *Expr, want bool) (bool, string) {
 	if x.Kind != EStrSym || !y.IsConst() || y.Val.Kind != dex.KindStr {
 		return false, "unsupported string comparison operands"
 	}
-	lit := y.Val.Str
+	lit := y.Val.Str()
 	if want {
 		// equals: x = lit; startsWith/endsWith: lit itself satisfies.
 		if prev, dup := s.strEq[x.Sym]; dup && prev != lit &&
@@ -354,7 +354,7 @@ func (s *solver) finish() (map[string]dex.Value, bool, string) {
 	for sym, avoid := range s.strNe {
 		if cur, done := asg[sym]; done {
 			for _, a := range avoid {
-				if cur.Str == a {
+				if cur.Str() == a {
 					return nil, false, "string equality conflicts with disequality on " + sym
 				}
 			}
@@ -504,7 +504,7 @@ func evalExpr(e *Expr, asg map[string]dex.Value) (dex.Value, bool) {
 		if !ok1 || !ok2 || x.Kind != dex.KindStr || y.Kind != dex.KindStr {
 			return dex.Value{}, false
 		}
-		return evalStrCmpConst(e.API, x.Str, y.Str), true
+		return evalStrCmpConst(e.API, x.Str(), y.Str()), true
 	}
 	return dex.Value{}, false
 }

@@ -49,7 +49,7 @@ func (v *VM) dispatch(u *unit, inPayload string, api dex.API, args []dex.Value, 
 		if i >= len(args) || args[i].Kind != dex.KindStr {
 			return "", false
 		}
-		return args[i].Str, true
+		return args[i].Str(), true
 	}
 	num := func(i int) (int64, bool) {
 		if i >= len(args) || args[i].Kind != dex.KindInt {
@@ -405,7 +405,7 @@ func (v *VM) decryptLoad(inPayload string, args []dex.Value) (dex.Value, error) 
 	if v.opts.BlobFault != nil {
 		sealed = v.opts.BlobFault(blobIdx, sealed)
 	}
-	plain, err := lockbox.OpenValue(sealed, args[1], args[2].Str)
+	plain, err := lockbox.OpenValue(sealed, args[1], args[2].Str())
 	if err != nil {
 		return failClosed(err)
 	}

@@ -77,8 +77,8 @@ func TestAPIResourceAndStego(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Str != "deadbeef00112233" {
-		t.Errorf("stego extract = %q", res.Str)
+	if res.Str() != "deadbeef00112233" {
+		t.Errorf("stego extract = %q", res.Str())
 	}
 	// Out-of-range resource reads as empty.
 	res, _, err = h.run(func(b *dex.Builder) {
@@ -88,8 +88,8 @@ func TestAPIResourceAndStego(t *testing.T) {
 		b.CallAPI(s, dex.APIGetResourceString, idx)
 		b.Return(s)
 	})
-	if err != nil || res.Str != "" {
-		t.Errorf("oob resource = %q, %v", res.Str, err)
+	if err != nil || res.Str() != "" {
+		t.Errorf("oob resource = %q, %v", res.Str(), err)
 	}
 }
 
@@ -105,11 +105,11 @@ func TestAPIManifestDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Str != v.Package().Manifest.DigestOf(apk.EntryIcon) {
+	if res.Str() != v.Package().Manifest.DigestOf(apk.EntryIcon) {
 		t.Error("manifest digest mismatch")
 	}
-	if len(res.Str) != 64 {
-		t.Errorf("digest length %d", len(res.Str))
+	if len(res.Str()) != 64 {
+		t.Errorf("digest length %d", len(res.Str()))
 	}
 }
 
@@ -126,7 +126,7 @@ func TestAPICodeDigestMethodLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := CodeDigest(v.File(), v.File().Method("T.m"))
-	if res.Str != want {
+	if res.Str() != want {
 		t.Error("method digest mismatch")
 	}
 	// Class-level digest and unknown names.
@@ -137,8 +137,8 @@ func TestAPICodeDigestMethodLevel(t *testing.T) {
 		b.CallAPI(d, dex.APICodeDigest, n)
 		b.Return(d)
 	})
-	if err != nil || res.Str != "" {
-		t.Errorf("unknown class digest = %q, %v", res.Str, err)
+	if err != nil || res.Str() != "" {
+		t.Errorf("unknown class digest = %q, %v", res.Str(), err)
 	}
 }
 

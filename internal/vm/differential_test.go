@@ -68,24 +68,24 @@ func bothWays(traceDepth int) []instrumentation {
 // contents (the pointers necessarily differ across VMs), with a depth
 // cap against self-referential arrays built by hostile code.
 func valueEq(a, b dex.Value, depth int) bool {
-	if a.Kind != b.Kind || a.Int != b.Int || a.Str != b.Str {
+	if a.Kind != b.Kind || a.Int != b.Int || a.Str() != b.Str() {
 		return false
 	}
 	if a.Kind == dex.KindArr {
-		if (a.Arr == nil) != (b.Arr == nil) {
+		if (a.Arr() == nil) != (b.Arr() == nil) {
 			return false
 		}
-		if a.Arr == nil {
+		if a.Arr() == nil {
 			return true
 		}
-		if len(*a.Arr) != len(*b.Arr) {
+		if len(*a.Arr()) != len(*b.Arr()) {
 			return false
 		}
 		if depth == 0 {
 			return true
 		}
-		for i := range *a.Arr {
-			if !valueEq((*a.Arr)[i], (*b.Arr)[i], depth-1) {
+		for i := range *a.Arr() {
+			if !valueEq((*a.Arr())[i], (*b.Arr())[i], depth-1) {
 				return false
 			}
 		}

@@ -283,38 +283,41 @@ func (v *VM) call(u *unit, inPayload string, m *dex.Method, args []dex.Value, de
 
 		case dex.OpALoad:
 			arr := regs[in.B]
-			if arr.Kind != dex.KindArr || arr.Arr == nil {
+			a := arr.Arr()
+			if a == nil {
 				return dex.Nil(), fault(pc, "aload on %s", arr.Kind)
 			}
 			i, err := intOf(pc, regs[in.C])
 			if err != nil {
 				return dex.Nil(), err
 			}
-			if i < 0 || int(i) >= len(*arr.Arr) {
-				return dex.Nil(), fault(pc, "index %d out of bounds %d", i, len(*arr.Arr))
+			if i < 0 || int(i) >= len(*a) {
+				return dex.Nil(), fault(pc, "index %d out of bounds %d", i, len(*a))
 			}
-			regs[in.A] = (*arr.Arr)[i]
+			regs[in.A] = (*a)[i]
 
 		case dex.OpAStore:
 			arr := regs[in.A]
-			if arr.Kind != dex.KindArr || arr.Arr == nil {
+			a := arr.Arr()
+			if a == nil {
 				return dex.Nil(), fault(pc, "astore on %s", arr.Kind)
 			}
 			i, err := intOf(pc, regs[in.B])
 			if err != nil {
 				return dex.Nil(), err
 			}
-			if i < 0 || int(i) >= len(*arr.Arr) {
-				return dex.Nil(), fault(pc, "index %d out of bounds %d", i, len(*arr.Arr))
+			if i < 0 || int(i) >= len(*a) {
+				return dex.Nil(), fault(pc, "index %d out of bounds %d", i, len(*a))
 			}
-			(*arr.Arr)[i] = regs[in.C]
+			(*a)[i] = regs[in.C]
 
 		case dex.OpArrLen:
 			arr := regs[in.B]
-			if arr.Kind != dex.KindArr || arr.Arr == nil {
+			a := arr.Arr()
+			if a == nil {
 				return dex.Nil(), fault(pc, "arr-len on %s", arr.Kind)
 			}
-			regs[in.A] = dex.Int64(int64(len(*arr.Arr)))
+			regs[in.A] = dex.Int64(int64(len(*a)))
 
 		default:
 			return dex.Nil(), fault(pc, "invalid opcode %d", in.Op)

@@ -201,7 +201,7 @@ func TestQuickenConstStrOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference=%v: %v", ref, err)
 		}
-		if res.Kind != dex.KindStr || res.Str != "" {
+		if res.Kind != dex.KindStr || res.Str() != "" {
 			t.Errorf("reference=%v: got %v, want empty string", ref, res)
 		}
 	}

@@ -302,7 +302,7 @@ func TestStaticsPersistAcrossInvocations(t *testing.T) {
 	if got := v.Static("App.count"); got.Int != 2 {
 		t.Errorf("static = %v", got)
 	}
-	if got := v.Static("App.title"); got.Str != "start" {
+	if got := v.Static("App.title"); got.Str() != "start" {
 		t.Errorf("title init = %v", got)
 	}
 }
@@ -311,7 +311,7 @@ func TestStringAPIsAndLog(t *testing.T) {
 	f, _ := buildTestApp(t)
 	v := installApp(t, f, false)
 	got := mustInvoke(t, v, "App.greet", dex.Str("bob"))
-	if got.Str != "hi bob" {
+	if got.Str() != "hi bob" {
 		t.Errorf("greet = %v", got)
 	}
 	logs := v.Logs()
@@ -549,14 +549,14 @@ func TestReflectionAndDeobfuscation(t *testing.T) {
 	}
 	v := installApp(t, f, false)
 	got := mustInvoke(t, v, "App.reflected")
-	if got.Str != v.Package().PublicKeyHex() {
-		t.Errorf("reflected getPublicKey = %q", got.Str)
+	if got.Str() != v.Package().PublicKeyHex() {
+		t.Errorf("reflected getPublicKey = %q", got.Str())
 	}
 	// A hook on the *target* API intercepts reflected calls too.
 	v.Hook(dex.APIGetPublicKey, func(call APICall) (dex.Value, bool, error) {
 		return dex.Str("faked"), true, nil
 	})
-	if got := mustInvoke(t, v, "App.reflected"); got.Str != "faked" {
+	if got := mustInvoke(t, v, "App.reflected"); got.Str() != "faked" {
 		t.Error("hook did not intercept reflected call")
 	}
 }
