@@ -53,9 +53,10 @@ type qop uint8
 const (
 	// qEnd sits at index len(code): control fell off the end of the
 	// method. qTrap replaces an out-of-range branch target; its imm
-	// holds the original target for the fault message. Both are
-	// handled before the step/obs prefix, mirroring the reference
-	// loop's bounds check, which charges nothing.
+	// holds the original target for the fault message. Both charge
+	// nothing, mirroring the reference loop's bounds check: the
+	// dispatch loop skips watchStep for them and takes back the
+	// prologue's step and tick.
 	qEnd qop = iota
 	qTrap
 
@@ -102,8 +103,8 @@ const (
 	qFuseArithIf    // arith ; if
 )
 
-// qFirstReal is the first qop that executes the standard
-// step/budget/obs/trace prefix; qEnd and qTrap run before it.
+// qFirstReal is the first qop that is charged a step, budget check,
+// obs count and trace entry; qEnd and qTrap sort before it.
 const qFirstReal = qNop
 
 // qinstr is one quickened instruction. srcOp keeps the original
