@@ -28,6 +28,29 @@ func TestParseShardRange(t *testing.T) {
 	}
 }
 
+// FuzzParseShardRange: no input panics the parser, and whatever it
+// accepts is a non-empty range of non-negative slots that its own
+// String form parses back to.
+func FuzzParseShardRange(f *testing.F) {
+	for _, s := range []string{"0:86", " 3 : 9 ", "+1:2", "-1:4", "4:4", "8:4", "a:b", ":", "",
+		"0:9223372036854775807", "0:9223372036854775808", "1:2:3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseShardRange(s)
+		if err != nil {
+			return
+		}
+		if r.Lo < 0 || r.Lo >= r.Hi {
+			t.Fatalf("ParseShardRange(%q) = %+v, want 0 <= lo < hi", s, r)
+		}
+		back, err := ParseShardRange(r.String())
+		if err != nil || back != r {
+			t.Fatalf("ParseShardRange(%q) = %+v; its String %q parses to %+v, %v", s, r, r.String(), back, err)
+		}
+	})
+}
+
 func TestShardRangeContains(t *testing.T) {
 	r := ShardRange{Lo: 4, Hi: 8}
 	for slot, want := range map[int]bool{3: false, 4: true, 7: true, 8: false} {

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +29,29 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	if _, err := ParseTraceID("ABCDEF0123456789ABCDEF0123456789"); err != nil {
 		t.Errorf("upper-case hex rejected: %v", err)
 	}
+}
+
+// FuzzParseTraceID: no input panics the parser, and whatever it
+// accepts renders back as the input in lower case and parses back to
+// the same ID.
+func FuzzParseTraceID(f *testing.F) {
+	for _, s := range []string{"deadbeefcafef00d0123456789abcdef", "ABCDEF0123456789ABCDEF0123456789",
+		"", "abc", "zz3456789abcdef0123456789abcdef0", "0123456789abcdef0123456789abcdé"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		id, err := ParseTraceID(s)
+		if err != nil {
+			return
+		}
+		if got, want := id.String(), strings.ToLower(s); got != want {
+			t.Fatalf("ParseTraceID(%q).String() = %q, want %q", s, got, want)
+		}
+		back, err := ParseTraceID(id.String())
+		if err != nil || back != id {
+			t.Fatalf("ParseTraceID(%q) = %v; its String parses to %v, %v", s, id, back, err)
+		}
+	})
 }
 
 func TestMintDeterministic(t *testing.T) {

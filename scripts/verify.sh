@@ -2,8 +2,9 @@
 # Full verification: build, vet, a gofmt check, race-enabled tests
 # (the VM package first, then the whole tree), the quickened-vs-
 # reference differential step, vet and short tests of the cmd/benchrun
-# module, and 20s fuzzes of the similarity index, the Event JSON codec,
-# the report-body decoder and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
+# module, and 20s fuzzes of the dex decoder, the quickened interpreter,
+# the similarity index, the Event JSON codec, the report-body decoder
+# and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate on top of it. The
 # end-to-end CLI and market proofs (batch protection and cancellation,
 # daemon SIGTERM/SIGKILL recovery, timelines, fingerprints, the
@@ -47,6 +48,18 @@ echo "==> benchmark module: go vet + go test -short (cmd/benchrun)"
 # cmd/benchrun is its own module, so ./... above never compiles it,
 # yet it drives the core, exp, sim and market APIs end to end.
 (cd cmd/benchrun && go vet ./... && go test -short .)
+
+echo "==> fuzz: dex decoder, decode/re-encode fixed point (20s)"
+# Whatever decodes must re-encode to bytes that decode and re-encode to
+# themselves, with equal strings, blobs and field initialisers; no
+# count may size an allocation past the input.
+go test -run '^$' -fuzz FuzzDecode -fuzztime 20s ./internal/dex
+
+echo "==> fuzz: quickened interpreter on unvalidated code (20s)"
+# Every method of whatever decodes runs, without dex.Validate, with and
+# without fail-closed: faults must come back as errors, never panics.
+# Minimizing caps at 5s, since a failing input is a whole dex file.
+go test -run '^$' -fuzz FuzzExec -fuzztime 20s -fuzzminimizetime 5s ./internal/vm
 
 echo "==> fuzz: similarity index vs a string merge-join oracle (20s)"
 # Random Set/replace/Delete/Rank sequences against the interned-id
