@@ -442,7 +442,10 @@ func (v *VM) decryptLoad(inPayload string, args []dex.Value) (dex.Value, error) 
 	}
 	// Quicken the payload against this VM's static table; slots the
 	// payload references beyond the shared image extend staticExtra.
-	quickenUnit(pu, v.ensureStatic)
+	quickenUnit(pu, func(name string) (int32, bool) {
+		idx := v.ensureStatic(name)
+		return idx, v.staticSet[idx]
+	})
 	v.nextHandle++
 	h := v.nextHandle
 	v.payloads[h] = &payloadUnit{u: pu, entryClass: entry}

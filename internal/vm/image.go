@@ -30,16 +30,17 @@ type image struct {
 }
 
 // slotFor returns the slot for name, assigning the next one on first
-// use. Only valid during buildImage; afterwards the image is frozen.
-func (img *image) slotFor(name string) int32 {
+// use, and whether it is declared. Only valid during buildImage;
+// afterwards the image is frozen.
+func (img *image) slotFor(name string) (int32, bool) {
 	if idx, ok := img.staticIdx[name]; ok {
-		return idx
+		return idx, img.staticSet[idx]
 	}
 	idx := int32(len(img.staticInit))
 	img.staticIdx[name] = idx
 	img.staticInit = append(img.staticInit, dex.Value{})
 	img.staticSet = append(img.staticSet, false)
-	return idx
+	return idx, false
 }
 
 // buildImage links and quickens a decoded file. It performs no
@@ -54,7 +55,7 @@ func buildImage(file *dex.File) *image {
 	// to any additional names Get/PutStatic reference.
 	for _, c := range file.Classes {
 		for _, fd := range c.Fields {
-			idx := img.slotFor(c.Name + "." + fd.Name)
+			idx, _ := img.slotFor(c.Name + "." + fd.Name)
 			img.staticInit[idx] = fd.Init
 			img.staticSet[idx] = true
 		}
