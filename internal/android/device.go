@@ -3,7 +3,6 @@ package android
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Device is one concrete Android device: a fixed assignment to every
@@ -11,32 +10,52 @@ import (
 // offsets) that vary between reads. Devices come from two sources:
 // draws from the user population (SamplePopulation) and the attacker's
 // small emulator lab (EmulatorLab).
+//
+// Values live in slices indexed by EnvSpec.Index, so a read whose
+// catalog index is known (GetIntAt, GetStrAt: the VM resolves constant
+// names once, at load) costs one slice index and no map probe. has
+// marks the assigned variables; an unassigned one reads 0 or "".
 type Device struct {
 	ID     string
-	ints   map[string]int64
-	strs   map[string]string
-	tzOff  int64 // hours, cached from timezone_off
+	ints   []int64  // integer variables; 0 at string variables
+	strs   []string // string variables; "" at integer variables
+	has    uint64   // bit i: catalog variable i is assigned
+	tzOff  int64    // hours, cached from timezone_off
 	jitter *rand.Rand
 }
+
+func newDevice(id string, jitter *rand.Rand) *Device {
+	return &Device{
+		ID:     id,
+		ints:   make([]int64, len(catalog)),
+		strs:   make([]string, len(catalog)),
+		jitter: jitter,
+	}
+}
+
+// set assigns variable s. The caller passes the value of s's kind.
+func (d *Device) set(s *EnvSpec, iv int64, sv string) {
+	if s.Kind == VarStr {
+		d.strs[s.Index] = sv
+	} else {
+		d.ints[s.Index] = iv
+	}
+	d.has |= 1 << s.Index
+}
+
+// setInt and setStr assign a catalog variable by name.
+func (d *Device) setInt(name string, v int64)  { d.set(catalogIndex[name], v, "") }
+func (d *Device) setStr(name string, v string) { d.set(catalogIndex[name], 0, v) }
 
 // SamplePopulation draws a device from the population distributions.
 // Deterministic given rng state.
 func SamplePopulation(id string, rng *rand.Rand) *Device {
-	d := &Device{
-		ID:     id,
-		ints:   make(map[string]int64, len(catalog)),
-		strs:   make(map[string]string, 8),
-		jitter: rand.New(rand.NewSource(rng.Int63())),
-	}
+	d := newDevice(id, rand.New(rand.NewSource(rng.Int63())))
 	for _, s := range catalog {
 		iv, sv := s.sample(rng)
-		if s.Kind == VarStr {
-			d.strs[s.Name] = sv
-		} else {
-			d.ints[s.Name] = iv
-		}
+		d.set(s, iv, sv)
 	}
-	d.tzOff = d.ints["timezone_off"]
+	d.tzOff = d.ints[catalogIndex["timezone_off"].Index]
 	return d
 }
 
@@ -57,31 +76,30 @@ type Emulator struct {
 // overridden, IP in the 10.0.2.x NAT range, null-island GPS — the
 // homogeneity that keeps inner triggers dormant in the attacker lab.
 func NewEmulator(cfg Emulator, seed int64) *Device {
-	d := &Device{
-		ID:     "emulator-" + cfg.Name,
-		ints:   make(map[string]int64, len(catalog)),
-		strs:   make(map[string]string, 8),
-		jitter: rand.New(rand.NewSource(seed)),
-	}
-	d.strs["manufacturer"] = cfg.Manufacturer
-	d.strs["brand"] = "generic"
-	d.strs["board"] = "goldfish"
-	d.strs["bootloader"] = "unknown"
-	d.strs["cpu_abi"] = cfg.CPUABI
-	d.strs["locale"] = "en_US"
-	d.ints["screen_w"] = cfg.ScreenW
-	d.ints["screen_h"] = cfg.ScreenH
-	d.ints["density_dpi"] = 320
-	d.ints["flash_gb"] = 32
-	d.ints["mac_hash"] = 0x5254_00 // QEMU OUI prefix
-	d.ints["serial_hash"] = seed & 0xFFFFFF
-	d.ints["battery_pct"] = 100
-	d.ints["os_version"] = cfg.APILevel
-	d.ints["api_level"] = cfg.APILevel
-	d.ints["patch_level"] = 12
-	d.ints["ip_a"], d.ints["ip_b"], d.ints["ip_c"], d.ints["ip_d"] = 10, 0, 2, 15
-	d.ints["timezone_off"] = 0
-	d.ints["gps_lat_e6"], d.ints["gps_lon_e6"] = 0, 0
+	d := newDevice("emulator-"+cfg.Name, rand.New(rand.NewSource(seed)))
+	d.setStr("manufacturer", cfg.Manufacturer)
+	d.setStr("brand", "generic")
+	d.setStr("board", "goldfish")
+	d.setStr("bootloader", "unknown")
+	d.setStr("cpu_abi", cfg.CPUABI)
+	d.setStr("locale", "en_US")
+	d.setInt("screen_w", cfg.ScreenW)
+	d.setInt("screen_h", cfg.ScreenH)
+	d.setInt("density_dpi", 320)
+	d.setInt("flash_gb", 32)
+	d.setInt("mac_hash", 0x5254_00) // QEMU OUI prefix
+	d.setInt("serial_hash", seed&0xFFFFFF)
+	d.setInt("battery_pct", 100)
+	d.setInt("os_version", cfg.APILevel)
+	d.setInt("api_level", cfg.APILevel)
+	d.setInt("patch_level", 12)
+	d.setInt("ip_a", 10)
+	d.setInt("ip_b", 0)
+	d.setInt("ip_c", 2)
+	d.setInt("ip_d", 15)
+	d.setInt("timezone_off", 0)
+	d.setInt("gps_lat_e6", 0)
+	d.setInt("gps_lon_e6", 0)
 	return d
 }
 
@@ -115,13 +133,24 @@ func EmulatorLab(n int) []*Device {
 // Unknown names return 0, matching a framework default.
 func (d *Device) GetInt(name string, clockMillis int64) int64 {
 	spec := Spec(name)
-	if spec == nil || spec.Kind != VarInt {
+	if spec == nil {
+		return 0
+	}
+	return d.GetIntAt(spec.Index, clockMillis)
+}
+
+// GetIntAt is GetInt for the catalog variable at index i: string
+// variables read 0, and a dynamic variable draws the same jitter as a
+// read by name.
+func (d *Device) GetIntAt(i int, clockMillis int64) int64 {
+	spec := catalog[i]
+	if spec.Kind != VarInt {
 		return 0
 	}
 	if !spec.Dynamic {
-		return d.ints[name]
+		return d.ints[i]
 	}
-	switch name {
+	switch spec.Name {
 	case "time_hour":
 		return ((clockMillis/3_600_000)%24 + d.tzOff + 24) % 24
 	case "time_min":
@@ -129,7 +158,7 @@ func (d *Device) GetInt(name string, clockMillis int64) int64 {
 	case "time_dow":
 		return (clockMillis / 86_400_000) % 7
 	case "battery_pct":
-		base := d.ints[name]
+		base := d.ints[i]
 		drain := (clockMillis / 600_000) % 40 // ~1%/10min cycle
 		v := base - drain
 		if v < 5 {
@@ -149,22 +178,26 @@ func (d *Device) GetInt(name string, clockMillis int64) int64 {
 	case "temp_c":
 		return 15 + d.jitter.Int63n(15)
 	default:
-		return d.ints[name]
+		return d.ints[i]
 	}
 }
 
 // GetStr reads a string environment variable; unknown names return "".
 func (d *Device) GetStr(name string) string {
-	return d.strs[name]
+	spec := Spec(name)
+	if spec == nil {
+		return ""
+	}
+	return d.strs[spec.Index]
 }
+
+// GetStrAt is GetStr for the catalog variable at index i.
+func (d *Device) GetStrAt(i int) string { return d.strs[i] }
 
 // Has reports whether the device carries the named variable.
 func (d *Device) Has(name string) bool {
-	if _, ok := d.ints[name]; ok {
-		return true
-	}
-	_, ok := d.strs[name]
-	return ok
+	spec := Spec(name)
+	return spec != nil && d.has&(1<<spec.Index) != 0
 }
 
 // MutateEnv overrides one variable, modelling the paper's human
@@ -176,13 +209,9 @@ func (d *Device) MutateEnv(name string, intVal int64, strVal string) error {
 	if spec == nil {
 		return fmt.Errorf("android: unknown env var %q", name)
 	}
-	if spec.Kind == VarStr {
-		d.strs[name] = strVal
-	} else {
-		d.ints[name] = intVal
-		if name == "timezone_off" {
-			d.tzOff = intVal
-		}
+	d.set(spec, intVal, strVal)
+	if name == "timezone_off" {
+		d.tzOff = intVal
 	}
 	return nil
 }
@@ -190,44 +219,32 @@ func (d *Device) MutateEnv(name string, intVal int64, strVal string) error {
 // Clone returns an independent copy (same static assignment, forked
 // jitter stream).
 func (d *Device) Clone() *Device {
-	n := &Device{
-		ID:     d.ID,
-		ints:   make(map[string]int64, len(d.ints)),
-		strs:   make(map[string]string, len(d.strs)),
-		tzOff:  d.tzOff,
-		jitter: rand.New(rand.NewSource(d.jitter.Int63())),
-	}
-	for k, v := range d.ints {
-		n.ints[k] = v
-	}
-	for k, v := range d.strs {
-		n.strs[k] = v
-	}
+	n := newDevice(d.ID, rand.New(rand.NewSource(d.jitter.Int63())))
+	copy(n.ints, d.ints)
+	copy(n.strs, d.strs)
+	n.has = d.has
+	n.tzOff = d.tzOff
 	return n
 }
 
 // String summarizes the device's distinguishing fields.
 func (d *Device) String() string {
-	return fmt.Sprintf("%s(%s/%s api%d)", d.ID, d.strs["manufacturer"], d.strs["cpu_abi"], d.ints["api_level"])
+	return fmt.Sprintf("%s(%s/%s api%d)", d.ID, d.GetStr("manufacturer"), d.GetStr("cpu_abi"),
+		d.ints[catalogIndex["api_level"].Index])
 }
 
 // Fingerprint returns a deterministic summary of all static fields,
 // useful in tests asserting device diversity.
 func (d *Device) Fingerprint() string {
-	keys := make([]string, 0, len(d.ints)+len(d.strs))
-	for k := range d.ints {
-		keys = append(keys, k)
-	}
-	for k := range d.strs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := ""
-	for _, k := range keys {
-		if s, ok := d.strs[k]; ok {
-			out += k + "=" + s + ";"
-		} else {
-			out += fmt.Sprintf("%s=%d;", k, d.ints[k])
+	for _, name := range Names() {
+		s := catalogIndex[name]
+		switch {
+		case d.has&(1<<s.Index) == 0:
+		case s.Kind == VarStr:
+			out += name + "=" + d.strs[s.Index] + ";"
+		default:
+			out += fmt.Sprintf("%s=%d;", name, d.ints[s.Index])
 		}
 	}
 	return out

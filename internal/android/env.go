@@ -36,6 +36,7 @@ type WeightedStr struct {
 // IntWeights is set; string variables are drawn from StrVals.
 type EnvSpec struct {
 	Name       string
+	Index      int // position in Catalog(); Device.GetIntAt/GetStrAt read by it
 	Kind       VarKind
 	Lo, Hi     int64         // VarInt: inclusive range
 	IntWeights []WeightedInt // VarInt: optional non-uniform support
@@ -202,11 +203,15 @@ var catalog = []*EnvSpec{
 }
 
 var catalogIndex = func() map[string]*EnvSpec {
+	if len(catalog) > 64 {
+		panic("android: catalog outgrows Device.has")
+	}
 	m := make(map[string]*EnvSpec, len(catalog))
-	for _, s := range catalog {
+	for i, s := range catalog {
 		if _, dup := m[s.Name]; dup {
 			panic(fmt.Sprintf("android: duplicate env var %q", s.Name))
 		}
+		s.Index = i
 		m[s.Name] = s
 	}
 	return m

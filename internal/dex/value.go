@@ -176,18 +176,22 @@ func (v Value) Equal(o Value) bool {
 // key material when a bomb derives its decryption key from the trigger
 // operand: Hash(Repr(X) | salt). Two equal values always share a Repr,
 // and within a kind the mapping is injective.
-func (v Value) Repr() []byte {
+func (v Value) Repr() []byte { return v.AppendRepr(nil) }
+
+// AppendRepr appends Repr(v) to dst, so a caller hashing it can build
+// the input in a stack buffer.
+func (v Value) AppendRepr(dst []byte) []byte {
 	switch v.Kind {
 	case KindInt:
-		return []byte("i:" + strconv.FormatInt(v.Int, 10))
+		return strconv.AppendInt(append(dst, "i:"...), v.Int, 10)
 	case KindStr:
-		return append([]byte("s:"), v.Str()...)
+		return append(append(dst, "s:"...), v.Str()...)
 	case KindBytes:
-		return append([]byte("b:"), v.Str()...)
+		return append(append(dst, "b:"...), v.Str()...)
 	case KindHandle:
-		return []byte("h:" + strconv.FormatInt(v.Int, 10))
+		return strconv.AppendInt(append(dst, "h:"...), v.Int, 10)
 	default:
-		return []byte("nil")
+		return append(dst, "nil"...)
 	}
 }
 

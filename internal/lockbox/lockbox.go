@@ -34,25 +34,35 @@ import (
 // HashHex returns the hex SHA-1 of Repr(x) | 0x1f | salt — the value
 // compared against the embedded Hc in an outer trigger condition.
 // (The paper calls the function "SHA-128"; its example hash
-// da4b9237... is a SHA-1 digest, so SHA-1 it is.)
+// da4b9237... is a SHA-1 digest, so SHA-1 it is.) Bomb checks call it
+// at runtime, so it hashes one stack buffer and allocates only the
+// result string.
 func HashHex(x dex.Value, salt string) string {
-	h := sha1.New()
-	h.Write(x.Repr())
-	h.Write([]byte{0x1f})
-	h.Write([]byte(salt))
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [hashBuf]byte
+	sum := sha1.Sum(hashInput(buf[:0], x, salt))
+	var out [2 * sha1.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // DeriveKey derives the 128-bit payload key from the trigger operand
 // and salt. A distinct domain separator keeps the key underivable
 // from the published Hc.
 func DeriveKey(x dex.Value, salt string) []byte {
-	h := sha1.New()
-	h.Write([]byte("key|"))
-	h.Write(x.Repr())
-	h.Write([]byte{0x1f})
-	h.Write([]byte(salt))
-	return h.Sum(nil)[:16]
+	var buf [hashBuf]byte
+	sum := sha1.Sum(hashInput(append(buf[:0], "key|"...), x, salt))
+	return sum[:16]
+}
+
+// hashBuf sizes the stack buffer HashHex and DeriveKey build their
+// input in; a longer constant or salt spills to the heap.
+const hashBuf = 128
+
+// hashInput appends Repr(x) | 0x1f | salt to dst.
+func hashInput(dst []byte, x dex.Value, salt string) []byte {
+	dst = x.AppendRepr(dst)
+	dst = append(dst, 0x1f)
+	return append(dst, salt...)
 }
 
 // tagLen is the length of the integrity tag prepended to the

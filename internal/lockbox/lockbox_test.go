@@ -6,7 +6,9 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -23,6 +25,62 @@ func TestHashHexShape(t *testing.T) {
 	}
 	if h != strings.ToLower(h) {
 		t.Error("hash should be lowercase hex")
+	}
+}
+
+// TestHashGolden pins HashHex and DeriveKey byte for byte for every
+// Value kind. Protected apps embed HashHex digests and seal payloads
+// under DeriveKey keys, and the attack suite and trigger builder
+// recompute both, so neither may ever change. The vectors were taken
+// from the original sha1.New/Repr implementation and spot-checked
+// against an independent SHA-1.
+func TestHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		x         dex.Value
+		salt      string
+		hash, key string
+	}{
+		{"int", dex.Int64(1234), "s",
+			"f459bec305a2d825cf9ebe3532c19e57332ec10e", "02383569308c617f3f244455c8ce32fe"},
+		{"negative int", dex.Int64(-42), "salt9",
+			"75ed9c2cece361e0379c7ebccc9c00d650c03373", "65f2a464a5256d36e8d993467b0f99aa"},
+		{"min int64", dex.Int64(math.MinInt64), "m",
+			"e28fdf9f26d677da8bf324979be99f5d6d49653f", "b436405c8b6303eb61c43f8eaff90305"},
+		{"empty string", dex.Str(""), "",
+			"0858bd015bafaa4c73ba4a3f46ba401d0b5e0b24", "df9dbd6776632786349ee883997c0fe8"},
+		{"short string", dex.Str("arm64-v8a"), "x7",
+			"465a08e7797bc686aa1d6ba2a76254d1711f7af3", "68a2b73bc090e5813635096b218b2f15"},
+		// 280 bytes: longer than the stack buffer.
+		{"long string", dex.Str(strings.Repeat("long-constant/", 20)), "salt",
+			"d8bb2e6dfc373176d753128bd31cf0e4c4e739d0", "49c1d53f17a26457e44661f8f74207b8"},
+		{"long salt", dex.Int64(7), strings.Repeat("S", 200),
+			"4053beeb772c66051b8eb8885f8d79e47b5012d4", "29a5107d0af1a3de9db7ee8a838ab369"},
+		{"bytes", dex.Bytes([]byte{0, 1, 0xfe, 'x'}), "b",
+			"180203f63d3fa4bc7662275f70993317035bd1b6", "74f5d3a5c63d77588a20bd961cf21e19"},
+		{"handle", dex.Handle(3), "h",
+			"fe6a9538c96f2248d1c790d9aa3ca1e8da6ef6e9", "6044ec9c6a2766fad3b49f54543b6793"},
+		{"nil", dex.Nil(), "n",
+			"8d327dff291ee5119c429539f260ce9056e8f159", "bd524bf74528e59246b9d83d2a669e83"},
+		{"arr", dex.NewArr(2), "a",
+			"bc48cf9ca7a0720299b3425db69cc96069107158", "7d3f85371f6833d6f852b5e786aafe9f"},
+	} {
+		if got := HashHex(c.x, c.salt); got != c.hash {
+			t.Errorf("%s: HashHex = %s, want %s", c.name, got, c.hash)
+		}
+		if got := hex.EncodeToString(DeriveKey(c.x, c.salt)); got != c.key {
+			t.Errorf("%s: DeriveKey = %s, want %s", c.name, got, c.key)
+		}
+	}
+}
+
+// TestHashHexAllocs pins the runtime bomb check's cost: HashHex on an
+// int or a short string allocates only its result.
+func TestHashHexAllocs(t *testing.T) {
+	for _, x := range []dex.Value{dex.Int64(-1234567), dex.Str("samsung")} {
+		if n := testing.AllocsPerRun(100, func() { _ = HashHex(x, "salt-0042") }); n != 1 {
+			t.Errorf("HashHex(%v) allocates %v times, want 1", x, n)
+		}
 	}
 }
 
