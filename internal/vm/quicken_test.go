@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bombdroid/internal/dex"
 )
@@ -204,5 +205,13 @@ func TestQuickenConstStrOutOfRange(t *testing.T) {
 		if res.Kind != dex.KindStr || res.Str() != "" {
 			t.Errorf("reference=%v: got %v, want empty string", ref, res)
 		}
+	}
+}
+
+// TestQInstrSize pins a quickened instruction at 40 bytes: the run
+// length fills what was padding.
+func TestQInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(qinstr{}); n != 40 {
+		t.Fatalf("qinstr is %d bytes, want 40", n)
 	}
 }
