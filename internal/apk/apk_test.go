@@ -10,7 +10,7 @@ import (
 	"bombdroid/internal/dex"
 )
 
-func testDex(t *testing.T) *dex.File {
+func testDex(t testing.TB) *dex.File {
 	t.Helper()
 	f := dex.NewFile()
 	b := dex.NewBuilder(f, "onCreate", 0)
@@ -27,7 +27,7 @@ func testDex(t *testing.T) *dex.File {
 	return f
 }
 
-func testPackage(t *testing.T, seed int64) (*Package, *KeyPair) {
+func testPackage(t testing.TB, seed int64) (*Package, *KeyPair) {
 	t.Helper()
 	key, err := NewKeyPair(seed)
 	if err != nil {

@@ -9,6 +9,7 @@
 package apk
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -176,14 +177,15 @@ func (c *Certificate) encode(w io.Writer) error {
 	return nil
 }
 
-// decodeCertificate reads a certificate back.
-func decodeCertificate(r io.Reader) (*Certificate, error) {
+// decodeCertificate reads a certificate back. A field length is
+// checked against the bytes left before anything is sized from it.
+func decodeCertificate(r *bytes.Reader) (*Certificate, error) {
 	read := func() ([]byte, error) {
 		var n uint32
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		if n > 1<<20 {
+		if n > 1<<20 || int64(n) > int64(r.Len()) {
 			return nil, fmt.Errorf("apk: certificate field too large: %d", n)
 		}
 		b := make([]byte, n)

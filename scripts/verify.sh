@@ -3,8 +3,8 @@
 # (the VM package first, then the whole tree), the quickened-vs-
 # reference differential step, vet and short tests of the cmd/benchrun
 # module, and 20s fuzzes of the dex decoder, the quickened interpreter,
-# the similarity index, the Event JSON codec, the report-body decoder
-# and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
+# the apk archive reader, the similarity index, the Event JSON codec,
+# the report-body decoder and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate on top of it. The
 # end-to-end CLI and market proofs (batch protection and cancellation,
 # daemon SIGTERM/SIGKILL recovery, timelines, fingerprints, the
@@ -60,6 +60,12 @@ echo "==> fuzz: quickened interpreter on unvalidated code (20s)"
 # without fail-closed: faults must come back as errors, never panics.
 # Minimizing caps at 5s, since a failing input is a whole dex file.
 go test -run '^$' -fuzz FuzzExec -fuzztime 20s -fuzzminimizetime 5s ./internal/vm
+
+echo "==> fuzz: apk archive reader, unpack/pack fixed point (20s)"
+# Every archive is refused or unpacks to a package whose packed bytes
+# unpack and pack to themselves; no entry decompresses past its cap.
+# Each new input is a whole zip, so minimizing one caps at 2s.
+go test -run '^$' -fuzz FuzzUnpack -fuzztime 20s -fuzzminimizetime 2s ./internal/apk
 
 echo "==> fuzz: similarity index vs a string merge-join oracle (20s)"
 # Random Set/replace/Delete/Rank sequences against the interned-id
