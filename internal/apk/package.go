@@ -140,6 +140,17 @@ func (p *Package) Verify() error {
 	if p.Cert == nil {
 		return ErrNoCertificate
 	}
+	if err := p.CheckDigests(); err != nil {
+		return err
+	}
+	return p.Cert.verify(p.Manifest.canonical())
+}
+
+// CheckDigests is Verify's content half: the manifest must list
+// exactly the package's entries, each with the digest of its content.
+// It returns an error wrapping ErrDigestMismatch otherwise, and never
+// looks at the certificate.
+func (p *Package) CheckDigests() error {
 	want := buildManifest(&Unsigned{Name: p.Name, Dex: p.Dex, Res: p.Res})
 	for name, digest := range want.Digests {
 		if p.Manifest.DigestOf(name) != digest {
@@ -149,7 +160,7 @@ func (p *Package) Verify() error {
 	if len(p.Manifest.Digests) != len(want.Digests) {
 		return fmt.Errorf("%w: entry count", ErrDigestMismatch)
 	}
-	return p.Cert.verify(p.Manifest.canonical())
+	return nil
 }
 
 // PublicKeyHex is the runtime getPublicKey value for this package.

@@ -29,13 +29,15 @@ func newProfileVM(in *apk.Package, seed int64) (*vm.VM, error) {
 // the only way to protect an app; signing its unsigned output stays
 // with the developer (apk.Sign).
 //
-// Key derivation chains: the profile key covers the input key plus
-// the profiling configuration; the analyze key covers the profile key
-// plus HotFrac; the result key covers the input key, the profile key,
-// and every remaining option. Changing only a late-stage option (a
-// response kind, the bogus fraction) therefore invalidates the result
-// artifact but leaves the profile and analyze artifacts warm, and the
-// engine skips straight past those stages on the next run.
+// Key derivation chains: the input key (which also keys the unpack
+// artifact) covers the package content; the profile key covers the
+// input key plus the profiling configuration; the analyze key covers
+// the profile key plus HotFrac; the result key covers the input key,
+// the profile key, and every remaining option. Changing only a
+// late-stage option (a response kind, the bogus fraction) therefore
+// invalidates the result artifact but leaves the unpack, profile and
+// analyze artifacts warm, and the engine skips straight past those
+// stages on the next run.
 
 // StageName identifies one pipeline stage.
 type StageName string
@@ -85,6 +87,7 @@ type artifacts struct {
 	Out    *dex.File
 	Result *Result
 	prot   *protector // construct → stego carry-over (stego plan + RNG stream)
+	outDex []byte     // Out encoded, once stego has taken its digest
 
 	// Repack output.
 	Unsigned *apk.Unsigned
@@ -167,10 +170,18 @@ type Engine struct {
 	Obs *obs.Registry
 }
 
-// cached stage artifacts. The profile and analyze artifacts are
-// shared structures handed to every run that hits them — treat them
-// as immutable. The result artifact is deep-cloned on every hit
+// cached stage artifacts. The unpack, profile and analyze artifacts
+// are shared structures handed to every run that hits them — treat
+// them as immutable (construct clones the decoded file before it
+// edits anything). The result artifact is deep-cloned on every hit
 // because callers receive (and may mutate) the dex file inside.
+type unpackArtifact struct {
+	file                     *dex.File
+	ko                       string
+	resourceCount            int
+	iconDigest, authorDigest string
+}
+
 type profileArtifact struct {
 	profile   map[string]int64
 	fieldVals map[string][]dex.Value
@@ -207,7 +218,9 @@ func (ra *resultArtifact) clone() (*apk.Unsigned, *Result) {
 // InputKey content-addresses a signed package: its name, every
 // manifest entry digest (classes.dex, strings.xml, icon, author), and
 // the signer's public key. Two packages differing in even one method
-// body have different dex digests and therefore different keys.
+// body have different dex digests and therefore different keys. The
+// key trusts the manifest, so Engine.Run checks the digests against
+// the content before it looks anything up.
 func InputKey(in *apk.Package) artifact.Key {
 	f := artifact.NewFingerprint("bombdroid/input/v1")
 	f.Str(in.Name)
@@ -267,6 +280,27 @@ func resultKey(input, profKey artifact.Key, o Options) artifact.Key {
 	f.Int(int64(o.MaxBombsPerMethod)).Int(int64(o.MaxBombs))
 	f.Str(o.GlobalSalt).Bool(o.MuteAfterFirst)
 	return f.Done()
+}
+
+// fileBytes roughly sizes a decoded dex file for cache accounting.
+func fileBytes(f *dex.File) int64 {
+	n := int64(0)
+	for _, s := range f.Strings {
+		n += 16 + int64(len(s))
+	}
+	for _, b := range f.Blobs {
+		n += 24 + int64(len(b))
+	}
+	for _, c := range f.Classes {
+		n += 64 + 40*int64(len(c.Fields))
+		for _, m := range c.Methods {
+			n += 96 + 24*int64(len(m.Code))
+			for _, t := range m.Tables {
+				n += 32 + 16*int64(len(t.Cases))
+			}
+		}
+	}
+	return n
 }
 
 // mapBytes roughly sizes a profile for cache accounting.
@@ -335,15 +369,25 @@ func stageProfile(ctx context.Context, a *artifacts) error {
 // Run takes a signed package through the whole staged pipeline and
 // returns the protected unsigned package plus the run record.
 //
+// Every run first checks the input's manifest digests against its
+// content and returns an error wrapping apk.ErrDigestMismatch when
+// they differ, cache or no cache: the artifact keys trust the
+// manifest, so a package whose manifest lies must never reach them.
+//
 // Cache layering, checked in order:
 //  1. the whole-result artifact (everything skipped, output cloned);
-//  2. the profile artifact (profiling skipped);
-//  3. the analyze artifact (hot set and per-method analysis skipped);
+//  2. the unpack artifact, keyed by the input key (decoding skipped;
+//     the decoded file is shared read-only);
+//  3. the profile artifact (profiling skipped);
+//  4. the analyze artifact (hot set and per-method analysis skipped);
 //
 // after which construct/stego/validate/repack always run. With
 // Prof.Events 0 the profile stage is skipped and absent from
 // Info.Stages.
 func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
+	if err := in.CheckDigests(); err != nil {
+		return nil, fmt.Errorf("core: input package: %w", err)
+	}
 	opts := e.Opts.withDefaults()
 	prof := e.Prof.withDefaults()
 	a := &artifacts{In: in, Opts: opts, Prof: prof}
@@ -425,10 +469,22 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 		}
 	}
 
-	if err := run(StageUnpack, stageUnpack); err != nil {
+	// Layers 2–4: unpack, profile and analyze artifacts,
+	// content-addressed.
+	err := runCached(StageUnpack, info.Input, stageUnpack,
+		func() (any, int64) {
+			ua := &unpackArtifact{file: a.File, ko: a.Ko, resourceCount: a.ResourceCount,
+				iconDigest: a.IconDigest, authorDigest: a.AuthorDigest}
+			return ua, fileBytes(ua.file) + int64(len(ua.ko)+len(ua.iconDigest)+len(ua.authorDigest))
+		},
+		func(v any) {
+			ua := v.(*unpackArtifact)
+			a.File, a.Ko, a.ResourceCount = ua.file, ua.ko, ua.resourceCount
+			a.IconDigest, a.AuthorDigest = ua.iconDigest, ua.authorDigest
+		})
+	if err != nil {
 		return nil, err
 	}
-	// Layer 2/3: profile and analyze artifacts, content-addressed.
 	if prof.Events > 0 {
 		err := runCached(StageProfile, info.ProfileKey, stageProfile,
 			func() (any, int64) {
@@ -443,7 +499,7 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 			return nil, err
 		}
 	}
-	err := runCached(StageAnalyze, info.AnalyzeKey, stageAnalyze,
+	err = runCached(StageAnalyze, info.AnalyzeKey, stageAnalyze,
 		func() (any, int64) {
 			size := analysisBytes(a.analyses)
 			for m := range a.Hot {

@@ -4,17 +4,24 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
 	"bombdroid/internal/artifact"
 	"bombdroid/internal/dex"
+	"bombdroid/internal/lockbox"
 	"bombdroid/internal/obs"
 )
 
 // signedApp builds and signs a generated app for engine tests.
-func signedApp(t *testing.T, cfg appgen.Config) (*apk.Package, *apk.KeyPair, *appgen.App) {
+func signedApp(t testing.TB, cfg appgen.Config) (*apk.Package, *apk.KeyPair, *appgen.App) {
 	t.Helper()
 	app, err := appgen.Generate(cfg)
 	if err != nil {
@@ -268,5 +275,170 @@ func TestStegoCoverWrapRoundTrips(t *testing.T) {
 		if got := apk.ExtractFromString(s); got != want {
 			t.Errorf("stego string %d extracts %q, want %q", i, got, want)
 		}
+	}
+}
+
+// TestEngineRejectsLyingManifest: a signed package whose dex was
+// swapped for another app's fails Verify, and the engine refuses it
+// with apk.ErrDigestMismatch whether or not the genuine package's
+// build is cached. The input key hashes the manifest's claimed
+// digests, so a warm engine that skipped the check would hand back
+// the genuine app's build for the swapped one.
+func TestEngineRejectsLyingManifest(t *testing.T) {
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	other, _, _ := signedApp(t, appgen.Config{Name: "other", Seed: 6, TargetLOC: 1200})
+	swapped := pkg.Clone()
+	swapped.Dex = append([]byte(nil), other.Dex...)
+	if err := swapped.Verify(); !errors.Is(err, apk.ErrDigestMismatch) {
+		t.Fatalf("swapped package: Verify = %v, want ErrDigestMismatch", err)
+	}
+	if InputKey(swapped) != InputKey(pkg) {
+		t.Fatal("the swapped package no longer shares the genuine one's input key")
+	}
+
+	t.Run("uncached", func(t *testing.T) {
+		_, err := (&Engine{Opts: Options{Seed: 3}}).Run(context.Background(), swapped)
+		if !errors.Is(err, apk.ErrDigestMismatch) {
+			t.Fatalf("err = %v, want ErrDigestMismatch", err)
+		}
+	})
+	t.Run("cached", func(t *testing.T) {
+		e := &Engine{Opts: Options{Seed: 3}, Cache: artifact.NewStore(64 << 20)}
+		if _, err := e.Run(context.Background(), pkg); err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.Run(context.Background(), swapped)
+		if !errors.Is(err, apk.ErrDigestMismatch) {
+			t.Fatalf("err = %v, want ErrDigestMismatch (served %v)", err, p != nil)
+		}
+		// A reseed would miss the result artifact but hit the unpack
+		// artifact, which must be refused just the same.
+		e.Opts.Seed = 4
+		if _, err := e.Run(context.Background(), swapped); !errors.Is(err, apk.ErrDigestMismatch) {
+			t.Fatalf("reseed: err = %v, want ErrDigestMismatch", err)
+		}
+	})
+}
+
+// TestEngineBytesIdenticalAcrossGOMAXPROCS: payloads are sealed on
+// GOMAXPROCS goroutines, and the protected dex is the same at every
+// setting.
+func TestEngineBytesIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	e := &Engine{Opts: Options{Seed: 3, Alpha: 0.6,
+		Detections: []DetectionMethod{DetectPublicKey, DetectDigest, DetectSnippet, DetectIcon}}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		p, err := e.Run(context.Background(), pkg)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if len(p.Result.Bombs) < 2*procs {
+			t.Fatalf("GOMAXPROCS=%d: only %d bombs, too few to spread over the workers", procs, len(p.Result.Bombs))
+		}
+		if want == nil {
+			want = p.Unsigned.Dex
+		} else if !bytes.Equal(p.Unsigned.Dex, want) {
+			t.Errorf("GOMAXPROCS=%d: protected dex differs from GOMAXPROCS=1", procs)
+		}
+	}
+}
+
+// errAfterCtx reports context.Canceled from the n-th call of Err on,
+// so a test can cancel a run at an exact poll. The engine polls Err
+// and never waits on Done.
+type errAfterCtx struct {
+	context.Context
+	calls, n atomic.Int64
+}
+
+func (c *errAfterCtx) Err() error {
+	if c.calls.Add(1) >= c.n.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineCancelMidConstruct: a context cancelled while construct
+// is planning sites and sealing payloads ends the run with the
+// context's error, and every sealing goroutine has stopped by the time
+// Run returns.
+func TestEngineCancelMidConstruct(t *testing.T) {
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	e := &Engine{Opts: Options{Seed: 3, Alpha: 0.6}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
+	// Count the polls of an uncancelled run. Construct polls once per
+	// candidate method and once per payload it seals, and stego,
+	// validate and repack poll once each after it. Cancelling with
+	// half the payloads' polls still to come lands inside construct,
+	// with sealing workers running.
+	count := &errAfterCtx{Context: context.Background()}
+	count.n.Store(math.MaxInt64)
+	p, err := e.Run(count, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := int64(len(p.Result.Bombs))
+	if jobs < 8 {
+		t.Fatalf("only %d payloads to seal", jobs)
+	}
+	ctx := &errAfterCtx{Context: context.Background()}
+	ctx.n.Store(count.calls.Load() - 3 - jobs/2)
+
+	before := runtime.NumGoroutine()
+	_, err = e.Run(ctx, pkg)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "construct stage") {
+		t.Fatalf("err = %v, want context.Canceled from the construct stage", err)
+	}
+	if !goroutinesSettle(before) {
+		t.Errorf("%d goroutines before the run, %d after: a sealing worker outlived it", before, runtime.NumGoroutine())
+	}
+}
+
+// goroutinesSettle reports whether the goroutine count falls to n
+// within a second. A worker that has called WaitGroup.Done can still
+// be counted for a moment before it exits; a leaked one never leaves.
+func goroutinesSettle(n int) bool {
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSealerFinishWaitsForWorkers: finish returns the context's error
+// only once every worker is done with every job, including a worker
+// caught in the middle of a seal when the context was cancelled. The
+// payloads are large and incompressible so that a seal can still be
+// running when finish is called.
+func TestSealerFinishWaitsForWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	plain := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(plain)
+	key := lockbox.DeriveKey(dex.Int64(7), "salt")
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	s := newSealer(ctx)
+	blobs := make([][]byte, 8)
+	for i := range blobs {
+		s.add(&sealJob{blob: int64(i), plain: plain, key: key})
+	}
+	cancel()
+	err := s.finish(blobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("finish = %v, want context.Canceled", err)
+	}
+	for i, j := range s.jobs {
+		if j.err == nil && j.sealed == nil {
+			t.Errorf("job %d was neither sealed nor failed when finish returned", i)
+		}
+	}
+	if !goroutinesSettle(before) {
+		t.Errorf("%d goroutines before sealing, %d after finish: a worker outlived it", before, runtime.NumGoroutine())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"bombdroid/internal/android"
 	"bombdroid/internal/dex"
 	"bombdroid/internal/instrument"
-	"bombdroid/internal/lockbox"
 	"bombdroid/internal/vm"
 )
 
@@ -111,12 +110,6 @@ func buildPayload(spec payloadSpec) (*dex.File, error) {
 		return nil, fmt.Errorf("core: payload %s invalid: %w", spec.id, err)
 	}
 	return pf, nil
-}
-
-// sealPayload encrypts a payload file under the key derived from the
-// trigger constant and salt.
-func sealPayload(pf *dex.File, c dex.Value, salt string) ([]byte, error) {
-	return lockbox.SealValue(dex.Encode(pf), c, salt)
 }
 
 // compileInner emits the environment-sensitive inner trigger: when

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bombdroid/internal/apk"
+	"bombdroid/internal/dex"
 )
 
 // stageUnpack extracts the working artifacts from the signed input
@@ -30,10 +31,14 @@ func stageUnpack(ctx context.Context, a *artifacts) error {
 }
 
 // stageRepack assembles the protected unsigned package: the original
-// resources plus the stego strings, around the instrumented dex.
+// resources plus the stego strings, around the instrumented dex. It
+// reuses stego's encoding of the dex when stego took one.
 func stageRepack(ctx context.Context, a *artifacts) error {
 	newRes := a.In.Res.Clone()
 	newRes.Strings = append(newRes.Strings, a.Result.StegoStrings...)
-	a.Unsigned = apk.Build(a.In.Name, a.Result.File, newRes)
+	if a.outDex == nil {
+		a.outDex = dex.Encode(a.Out)
+	}
+	a.Unsigned = &apk.Unsigned{Name: a.In.Name, Dex: a.outDex, Res: newRes}
 	return nil
 }

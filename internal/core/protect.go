@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"bombdroid/internal/android"
 	"bombdroid/internal/apk"
 	"bombdroid/internal/cfg"
 	"bombdroid/internal/dex"
 	"bombdroid/internal/instrument"
+	"bombdroid/internal/lockbox"
 	"bombdroid/internal/vm"
 )
 
@@ -84,7 +87,10 @@ func analysisBytes(as []methodAnalysis) int64 {
 // randomness beyond profiling derives from Opts.Seed here, in
 // candidate-method order, so construction is deterministic for a
 // given (input, options) pair. Cancellation is checked between
-// methods. Each candidate's analysis comes from stageAnalyze.
+// methods and before each payload is sealed. Each candidate's
+// analysis comes from stageAnalyze. Payloads are sealed on background
+// workers while planning goes on, and construct waits for them before
+// it returns, because stego's dex digest reads the sealed blobs.
 func stageConstruct(ctx context.Context, a *artifacts) error {
 	opts := a.Opts
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -113,18 +119,30 @@ func stageConstruct(ctx context.Context, a *artifacts) error {
 	p := &protector{
 		opts: opts, rng: rng, out: out, res: res, ko: a.Ko,
 		fieldVals: a.FieldValues, iconDigest: a.IconDigest, authorDigest: a.AuthorDigest,
+		seals: newSealer(ctx),
 	}
+	var err error
 	for i, m := range candidates {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: construct stage: %w", err)
+		if err = ctx.Err(); err != nil {
+			err = fmt.Errorf("core: construct stage: %w", err)
+			break
 		}
 		if a.beforeMethod != nil {
 			a.beforeMethod(out, m, &a.analyses[i])
 		}
-		if err := p.protectMethod(m, &a.analyses[i]); err != nil {
-			return fmt.Errorf("core: instrumenting %s: %w", m.FullName(), err)
+		if err = p.protectMethod(m, &a.analyses[i]); err != nil {
+			err = fmt.Errorf("core: instrumenting %s: %w", m.FullName(), err)
+			break
 		}
 		p.finalized = append(p.finalized, m)
+	}
+	// Every path waits for the sealing workers, so none outlives the
+	// stage.
+	if serr := p.seals.finish(out.Blobs); err == nil && serr != nil {
+		err = fmt.Errorf("core: construct stage: %w", serr)
+	}
+	if err != nil {
+		return err
 	}
 	a.Out = out
 	a.Result = res
@@ -142,7 +160,8 @@ func stageStego(ctx context.Context, a *artifacts) error {
 	if len(p.stegoPlan) == 0 {
 		return nil
 	}
-	dexFrag := apk.DigestHex(dex.Encode(a.Out))[:stegoFragLen]
+	a.outDex = dex.Encode(a.Out)
+	dexFrag := apk.DigestHex(a.outDex)[:stegoFragLen]
 	covers := []string{
 		"Loading, please wait…", "Thanks for playing!", "Settings saved",
 		"Check out what's new", "Rate us on the store",
@@ -215,6 +234,77 @@ type protector struct {
 	// instrumentation), or a literal fragment (icon/author digests,
 	// known upfront).
 	stegoPlan []string
+	// seals encrypts each payload apply queues.
+	seals *sealer
+}
+
+// sealJob is one payload awaiting encryption into its reserved blob.
+type sealJob struct {
+	blob   int64
+	plain  []byte // the encoded payload file
+	key    []byte // lockbox.DeriveKey(trigger constant, salt)
+	sealed []byte
+	err    error
+}
+
+// sealQueueLen bounds the jobs waiting for a worker. A run queues one
+// job per bomb, a few dozen per app, so construct seldom finds the
+// queue full; when it does, it waits for a worker to take one.
+const sealQueueLen = 64
+
+// sealer runs lockbox.Seal on up to GOMAXPROCS goroutines while
+// construct goes on planning sites. Seal is deterministic and each
+// job keeps its own output, so the blobs do not depend on the worker
+// count or on which worker took which job.
+type sealer struct {
+	ctx     context.Context
+	queue   chan *sealJob
+	jobs    []*sealJob
+	workers int
+	wg      sync.WaitGroup
+}
+
+func newSealer(ctx context.Context) *sealer {
+	return &sealer{ctx: ctx, queue: make(chan *sealJob, sealQueueLen)}
+}
+
+// add queues j, first starting another worker while there are fewer
+// than GOMAXPROCS, so a run starts min(GOMAXPROCS, jobs) of them.
+func (s *sealer) add(j *sealJob) {
+	s.jobs = append(s.jobs, j)
+	if s.workers < runtime.GOMAXPROCS(0) {
+		s.workers++
+		s.wg.Add(1)
+		go s.work()
+	}
+	s.queue <- j
+}
+
+// work seals queued jobs until the queue closes. Once the context is
+// done it only marks the jobs left, so the queue always drains and add
+// never blocks for good.
+func (s *sealer) work() {
+	defer s.wg.Done()
+	for j := range s.queue {
+		if j.err = s.ctx.Err(); j.err == nil {
+			j.sealed, j.err = lockbox.Seal(j.plain, j.key)
+		}
+	}
+}
+
+// finish closes the queue, waits for every worker to stop, and writes
+// each sealed payload into its blob slot. It returns the error of the
+// first failed job in queue order.
+func (s *sealer) finish(blobs [][]byte) error {
+	close(s.queue)
+	s.wg.Wait()
+	for _, j := range s.jobs {
+		if j.err != nil {
+			return j.err
+		}
+		blobs[j.blob] = j.sealed
+	}
+	return nil
 }
 
 // sitePlan is one planned edit, in original pc coordinates.
@@ -461,7 +551,9 @@ func (p *protector) pickArtificialField() (string, dex.Value, bool) {
 	return chosen.ref, chosen.vals[p.rng.Intn(len(chosen.vals))], true
 }
 
-// apply builds, seals, and splices one planned site.
+// apply builds and splices one planned site and queues its payload
+// for sealing. The blob slot is reserved now, so blob indices follow
+// apply order whatever order the payloads are sealed in.
 func (p *protector) apply(m *dex.Method, plan sitePlan, base int32) error {
 	id := fmt.Sprintf("Bomb%d", len(p.res.Bombs))
 	salt := saltFor(p.rng, len(p.res.Bombs))
@@ -530,11 +622,10 @@ func (p *protector) apply(m *dex.Method, plan sitePlan, base int32) error {
 	if err != nil {
 		return err
 	}
-	sealed, err := sealPayload(pf, plan.constVal, salt)
-	if err != nil {
-		return err
-	}
-	bomb.BlobIdx = p.out.AddBlob(sealed)
+	bomb.BlobIdx = p.out.AddBlob(nil)
+	p.seals.add(&sealJob{
+		blob: bomb.BlobIdx, plain: dex.Encode(pf), key: lockbox.DeriveKey(plan.constVal, salt),
+	})
 
 	seq := outerTriggerSeq(p.out, triggerSpec{
 		xReg: plan.xReg, c: plan.constVal, salt: salt,

@@ -8,6 +8,7 @@ import (
 	"bombdroid/internal/apk"
 	"bombdroid/internal/dex"
 	"bombdroid/internal/instrument"
+	"bombdroid/internal/lockbox"
 	"bombdroid/internal/vm"
 )
 
@@ -43,7 +44,7 @@ func TestTimeTriggeredBomb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := sealPayload(pf, cval, salt)
+	sealed, err := lockbox.SealValue(dex.Encode(pf), cval, salt)
 	if err != nil {
 		t.Fatal(err)
 	}
