@@ -152,8 +152,9 @@ func (h *AndroidHooker) Observe(Event, int, bool) {}
 // systematically instead of sampling it, so equality guards on event
 // parameters are eventually covered.
 type Dynodroid struct {
-	scores map[string]float64
-	sweep  int64
+	scores  map[string]float64
+	sweep   int64
+	weights []float64 // Next's per-handler scores, reused
 }
 
 // NewDynodroid returns a fresh guided fuzzer.
@@ -167,16 +168,19 @@ func (d *Dynodroid) Name() string { return "Dynodroid" }
 // Next implements Fuzzer.
 func (d *Dynodroid) Next(ctx *Context) Event {
 	act := ctx.active()
+	d.weights = d.weights[:0]
 	total := 0.0
 	for _, h := range act {
-		total += d.score(h)
+		s := d.score(h)
+		d.weights = append(d.weights, s)
+		total += s
 	}
 	x := ctx.Rng.Float64() * total
 	handler := act[len(act)-1]
-	for _, h := range act {
-		x -= d.score(h)
+	for i, s := range d.weights {
+		x -= s
 		if x <= 0 {
-			handler = h
+			handler = act[i]
 			break
 		}
 	}
@@ -295,7 +299,7 @@ func Run(v *vm.VM, fz Fuzzer, domain int64, opts Options) Result {
 		if abnormal {
 			res.AbnormalExits++
 		}
-		fz.Observe(ev, seen.observe(v, opts.WatchFields), abnormal)
+		fz.Observe(ev, seen.observe(v), abnormal)
 		res.Events++
 		if err := v.AdvanceIdle(opts.EventGapMs); err != nil {
 			res.AbnormalExits++
@@ -329,7 +333,7 @@ func Profile(v *vm.VM, domain int64, events int, watch []string, seed int64) (ma
 	for i := 0; i < events && len(ctx.Handlers) > 0; i++ {
 		ev := fz.Next(ctx)
 		v.Invoke(ev.Handler, dex.Int64(ev.A), dex.Int64(ev.B))
-		fz.Observe(ev, vals.observe(v, watch), false)
+		fz.Observe(ev, vals.observe(v), false)
 		v.AdvanceIdle(40)
 	}
 	return v.Profile(), vals.values()
@@ -337,27 +341,66 @@ func Profile(v *vm.VM, domain int64, events int, watch []string, seed int64) (ma
 
 // watchSet records the distinct values each watched field has taken:
 // the novelty signal Dynodroid steers by and the value sets Profile
-// returns. Each distinct value keeps the first instance seen.
-type watchSet map[string]map[valueKey]dex.Value
+// returns. Each distinct value keeps the first instance seen. A field
+// listed twice is watched once, so a new value counts once.
+//
+// observe runs after every event, so each field is resolved to its VM
+// static slot once, and a field's set is probed only when its value
+// key differs from the last one observed: sets only grow, so the last
+// value can never be novel again. A field with no slot reads as nil,
+// as VM.Static reads it, until the VM's static table grows.
+type watchSet struct {
+	fields  []watchField
+	statics int // VM.NumStatics when unresolved fields were last looked up
+}
 
-func newWatchSet(fields []string) watchSet {
-	w := make(watchSet, len(fields))
-	for _, f := range fields {
-		w[f] = map[valueKey]dex.Value{}
+type watchField struct {
+	name   string
+	slot   int // -1 while the VM has no slot for name
+	last   valueKey
+	primed bool // last holds an observed key
+	seen   map[valueKey]dex.Value
+}
+
+func newWatchSet(names []string) *watchSet {
+	w := &watchSet{statics: -1}
+	dup := make(map[string]bool, len(names))
+	for _, n := range names {
+		if !dup[n] {
+			dup[n] = true
+			w.fields = append(w.fields, watchField{name: n, slot: -1, seen: map[valueKey]dex.Value{}})
+		}
 	}
 	return w
 }
 
 // observe reads the watched fields and returns how many hold a value
-// never seen before. A field listed twice shares one set, so a new
-// value counts once.
-func (w watchSet) observe(v *vm.VM, fields []string) int {
+// never seen before.
+func (w *watchSet) observe(v *vm.VM) int {
+	if n := v.NumStatics(); n != w.statics {
+		for i := range w.fields {
+			if f := &w.fields[i]; f.slot < 0 {
+				if s, ok := v.StaticSlot(f.name); ok {
+					f.slot = s
+				}
+			}
+		}
+		w.statics = n
+	}
 	novelty := 0
-	for _, f := range fields {
-		val := v.Static(f)
+	for i := range w.fields {
+		f := &w.fields[i]
+		val := dex.Nil()
+		if f.slot >= 0 {
+			val = v.StaticAt(f.slot)
+		}
 		key := keyOf(val)
-		if _, ok := w[f][key]; !ok {
-			w[f][key] = val
+		if f.primed && key == f.last {
+			continue
+		}
+		f.last, f.primed = key, true
+		if _, ok := f.seen[key]; !ok {
+			f.seen[key] = val
 			novelty++
 		}
 	}
@@ -368,15 +411,15 @@ func (w watchSet) observe(v *vm.VM, fields []string) int {
 // forms: map iteration order would otherwise leak into the slice, and
 // the protector's artificial-QC constant selection reads these slices —
 // protected output must not vary from process to process.
-func (w watchSet) values() map[string][]dex.Value {
-	out := make(map[string][]dex.Value, len(w))
-	for f, m := range w {
+func (w *watchSet) values() map[string][]dex.Value {
+	out := make(map[string][]dex.Value, len(w.fields))
+	for _, f := range w.fields {
 		type entry struct {
 			s string
 			v dex.Value
 		}
-		es := make([]entry, 0, len(m))
-		for _, val := range m {
+		es := make([]entry, 0, len(f.seen))
+		for _, val := range f.seen {
 			es = append(es, entry{val.String(), val})
 		}
 		sort.Slice(es, func(i, j int) bool { return es[i].s < es[j].s })
@@ -384,7 +427,7 @@ func (w watchSet) values() map[string][]dex.Value {
 		for i, e := range es {
 			vs[i] = e.v
 		}
-		out[f] = vs
+		out[f.name] = vs
 	}
 	return out
 }

@@ -517,6 +517,23 @@ func (v *VM) Static(ref string) dex.Value {
 	return dex.Nil()
 }
 
+// StaticSlot resolves a static field name to the slot StaticAt reads
+// it from. A slot never moves for the VM's life. A name unknown at
+// load time has no slot until something writes it (SetStatic, a
+// decrypted payload's fields), and each such new slot grows
+// NumStatics, so a caller holding unresolved names need only retry
+// when that count changes.
+func (v *VM) StaticSlot(ref string) (int, bool) {
+	idx, ok := v.staticSlot(ref)
+	return int(idx), ok
+}
+
+// StaticAt reads a static field by the slot StaticSlot returned.
+func (v *VM) StaticAt(slot int) dex.Value { return v.staticVals[slot] }
+
+// NumStatics returns the number of static slots.
+func (v *VM) NumStatics() int { return len(v.staticVals) }
+
 // SetStatic writes a static field (used by forced-execution attacks
 // that prepare program state).
 func (v *VM) SetStatic(ref string, val dex.Value) {

@@ -307,6 +307,40 @@ func TestStaticsPersistAcrossInvocations(t *testing.T) {
 	}
 }
 
+// TestStaticSlots: a resolved slot reads what Static reads, through
+// later writes; an unknown name has no slot until SetStatic gives it
+// one, which grows NumStatics, and every earlier slot stays put.
+func TestStaticSlots(t *testing.T) {
+	f, _ := buildTestApp(t)
+	v := installApp(t, f, false)
+	count, ok := v.StaticSlot("App.count")
+	if !ok {
+		t.Fatal("App.count has no slot")
+	}
+	mustInvoke(t, v, "App.bump")
+	if got := v.StaticAt(count); got.Int != 1 || got.Int != v.Static("App.count").Int {
+		t.Errorf("StaticAt(count) = %v, Static = %v", got, v.Static("App.count"))
+	}
+	n := v.NumStatics()
+	if _, ok := v.StaticSlot("App.later"); ok {
+		t.Fatal("an unwritten unknown name has a slot")
+	}
+	if v.NumStatics() != n {
+		t.Error("a failed lookup grew the static table")
+	}
+	v.SetStatic("App.later", dex.Str("x"))
+	later, ok := v.StaticSlot("App.later")
+	if !ok || v.NumStatics() != n+1 {
+		t.Fatalf("after SetStatic: slot ok %v, NumStatics %d, want %d", ok, v.NumStatics(), n+1)
+	}
+	if got := v.StaticAt(later); got.Str() != "x" {
+		t.Errorf("StaticAt(later) = %v", got)
+	}
+	if again, _ := v.StaticSlot("App.count"); again != count {
+		t.Errorf("App.count moved from slot %d to %d", count, again)
+	}
+}
+
 func TestStringAPIsAndLog(t *testing.T) {
 	f, _ := buildTestApp(t)
 	v := installApp(t, f, false)
