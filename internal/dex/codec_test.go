@@ -192,19 +192,19 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestDecodeRejectsHugeCounts(t *testing.T) {
 	var e encoder
-	e.buf.WriteString(magic)
+	e.buf = append(e.buf, magic...)
 	e.uvarint(formatVersion)
 	e.uvarint(uint64(maxPoolEntries) + 1) // absurd string count
-	if _, err := Decode(e.buf.Bytes()); err == nil {
+	if _, err := Decode(e.buf); err == nil {
 		t.Error("huge count should be rejected")
 	}
 }
 
 func TestDecodeRejectsBadVersion(t *testing.T) {
 	var e encoder
-	e.buf.WriteString(magic)
+	e.buf = append(e.buf, magic...)
 	e.uvarint(99)
-	if _, err := Decode(e.buf.Bytes()); err == nil {
+	if _, err := Decode(e.buf); err == nil {
 		t.Error("bad version should be rejected")
 	}
 }

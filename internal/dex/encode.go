@@ -1,7 +1,6 @@
 package dex
 
 import (
-	"bytes"
 	"encoding/binary"
 )
 
@@ -24,33 +23,30 @@ const (
 	formatVersion = 1
 )
 
+// encoder appends to one slice that Encode sizes from the file up
+// front, so a typical encoding never regrows it.
 type encoder struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
+	buf []byte
 }
 
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.tmp[:], v)
-	e.buf.Write(e.tmp[:n])
-}
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *encoder) varint(v int64) {
-	n := binary.PutVarint(e.tmp[:], v)
-	e.buf.Write(e.tmp[:n])
-}
+func (e *encoder) varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
+
+func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
 
 func (e *encoder) bytes(b []byte) {
 	e.uvarint(uint64(len(b)))
-	e.buf.Write(b)
+	e.buf = append(e.buf, b...)
 }
 
 func (e *encoder) string(s string) {
 	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
+	e.buf = append(e.buf, s...)
 }
 
 func (e *encoder) value(v Value) {
-	e.buf.WriteByte(byte(v.Kind))
+	e.byte(byte(v.Kind))
 	switch v.Kind {
 	case KindInt, KindHandle:
 		e.varint(v.Int)
@@ -70,7 +66,7 @@ func (e *encoder) value(v Value) {
 }
 
 func (e *encoder) instr(in Instr) {
-	e.buf.WriteByte(byte(in.Op))
+	e.byte(byte(in.Op))
 	e.varint(int64(in.A))
 	e.varint(int64(in.B))
 	e.varint(int64(in.C))
@@ -81,7 +77,7 @@ func (e *encoder) method(m *Method) {
 	e.string(m.Name)
 	e.uvarint(uint64(m.NumArgs))
 	e.uvarint(uint64(m.NumRegs))
-	e.buf.WriteByte(byte(m.Flags))
+	e.byte(byte(m.Flags))
 	e.uvarint(uint64(len(m.Code)))
 	for _, in := range m.Code {
 		e.instr(in)
@@ -99,8 +95,8 @@ func (e *encoder) method(m *Method) {
 
 // Encode serializes the file to its binary form.
 func Encode(f *File) []byte {
-	var e encoder
-	e.buf.WriteString(magic)
+	e := encoder{buf: make([]byte, 0, encodedSizeHint(f))}
+	e.buf = append(e.buf, magic...)
 	e.uvarint(formatVersion)
 
 	e.uvarint(uint64(len(f.Strings)))
@@ -124,5 +120,33 @@ func Encode(f *File) []byte {
 			e.method(m)
 		}
 	}
-	return e.buf.Bytes()
+	return e.buf
+}
+
+// encodedSizeHint estimates Encode's output length: exact for the
+// string and blob bytes, and a generous typical width for every count
+// and varint. An instruction (opcode, three registers, an immediate)
+// averages about 5.2 bytes on generated apps, so 6 leaves headroom
+// without doubling the buffer.
+func encodedSizeHint(f *File) int {
+	n := len(magic) + 8
+	for _, s := range f.Strings {
+		n += 2 + len(s)
+	}
+	for _, b := range f.Blobs {
+		n += 3 + len(b)
+	}
+	for _, c := range f.Classes {
+		n += 4 + len(c.Name)
+		for _, fd := range c.Fields {
+			n += 12 + len(fd.Name) + len(fd.Init.Str())
+		}
+		for _, m := range c.Methods {
+			n += 8 + len(m.Name) + 6*len(m.Code)
+			for _, t := range m.Tables {
+				n += 4 + 4*len(t.Cases)
+			}
+		}
+	}
+	return n
 }
