@@ -525,8 +525,8 @@ func BenchmarkEngineCold(b *testing.B) {
 
 // BenchmarkEngineWarm re-protects the same input against a warmed
 // artifact store: profile and analysis are skipped and the run is one
-// result-cache hit plus a deep clone. The acceptance bar is a ≥5×
-// speedup over BenchmarkEngineCold.
+// result-cache hit, which copies the cached run and decodes its dex.
+// The acceptance bar is a ≥5× speedup over BenchmarkEngineCold.
 func BenchmarkEngineWarm(b *testing.B) {
 	_, pkg, _ := benchApp(b)
 	store := artifact.NewStore(256 << 20)

@@ -162,6 +162,57 @@ func TestEngineConcurrentReseedsShareAnalysis(t *testing.T) {
 	}
 }
 
+// TestOverlappedAnalysisMatchesInline: the analyses started beside the
+// profile VM, before the hot set is known, and trimmed by stageAnalyze
+// equal those stageAnalyze computes inline for the non-hot methods
+// alone: same hot set, same candidates in the same order, equal
+// graphs, liveness and QCs.
+func TestOverlappedAnalysisMatchesInline(t *testing.T) {
+	var apps []*appgen.App
+	for _, name := range appgen.NamedApps[:2] {
+		app, err := appgen.NamedApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	for i, loc := range []int{1000, 3000} {
+		app, err := appgen.Generate(appgen.Config{Name: fmt.Sprintf("ov%d", i), Seed: int64(41 + i), TargetLOC: loc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	ctx := context.Background()
+	for _, app := range apps {
+		profile := map[string]int64{}
+		for i, m := range app.File.Methods() {
+			profile[m.FullName()] = int64(i)
+		}
+		inline := &artifacts{File: app.File, Opts: Options{}.withDefaults(), Profile: profile}
+		overlapped := &artifacts{File: app.File, Opts: Options{}.withDefaults(), Profile: profile,
+			early: startAnalysis(ctx, app.File)}
+		if err := stageAnalyze(ctx, inline); err != nil {
+			t.Fatal(err)
+		}
+		if err := stageAnalyze(ctx, overlapped); err != nil {
+			t.Fatal(err)
+		}
+		if len(inline.Hot) == 0 || !reflect.DeepEqual(inline.Hot, overlapped.Hot) {
+			t.Fatalf("%s: hot sets %d and %d methods, want equal and non-empty", app.Name, len(inline.Hot), len(overlapped.Hot))
+		}
+		if len(inline.analyses) == 0 || len(inline.analyses) != len(overlapped.analyses) {
+			t.Fatalf("%s: %d inline analyses, %d overlapped", app.Name, len(inline.analyses), len(overlapped.analyses))
+		}
+		for i, want := range inline.analyses {
+			got := overlapped.analyses[i]
+			if !reflect.DeepEqual(got.g, want.g) || !reflect.DeepEqual(got.lv, want.lv) || !qcsEqual(got.qcs, want.qcs) {
+				t.Errorf("%s: candidate %d: overlapped analysis differs from inline", app.Name, i)
+			}
+		}
+	}
+}
+
 // qcsEqual compares two QC lists field by field. reflect.DeepEqual
 // would compare each constant's string data pointer, so it reads two
 // equal string constants with different backing bytes as different;

@@ -79,6 +79,9 @@ type artifacts struct {
 	// per construct candidate in File.Methods() order.
 	Hot      map[string]bool
 	analyses []methodAnalysis
+	// early is the analysis the profile stage started beside its VM
+	// (nil when the profile stage did not run its body).
+	early *backgroundAnalysis
 	// beforeMethod, when set, sees each candidate on the construct
 	// clone just before it is instrumented (tests only).
 	beforeMethod func(out *dex.File, m *dex.Method, ma *methodAnalysis)
@@ -173,8 +176,8 @@ type Engine struct {
 // cached stage artifacts. The unpack, profile and analyze artifacts
 // are shared structures handed to every run that hits them — treat
 // them as immutable (construct clones the decoded file before it
-// edits anything). The result artifact is deep-cloned on every hit
-// because callers receive (and may mutate) the dex file inside.
+// edits anything). The result artifact is copied on every hit
+// because callers receive (and may mutate) what is inside.
 type unpackArtifact struct {
 	file                     *dex.File
 	ko                       string
@@ -192,27 +195,40 @@ type analyzeArtifact struct {
 	analyses []methodAnalysis
 }
 
+// resultArtifact is a built run in its cached form. It holds no dex
+// file: the protected file is exactly what unsigned.Dex encodes, so a
+// hit decodes it, and a build, which may never be hit, does not pay
+// for a deep clone of the file.
 type resultArtifact struct {
 	unsigned  *apk.Unsigned
-	result    *Result
+	result    *Result // File is nil
 	profile   map[string]int64
 	fieldVals map[string][]dex.Value
 }
 
-// clone deep-copies the parts a caller can reach and mutate: the
-// unsigned package and the result's dex file and slices. The profile
-// maps stay shared (read-only by contract).
-func (ra *resultArtifact) clone() (*apk.Unsigned, *Result) {
-	u := &apk.Unsigned{
-		Name: ra.unsigned.Name,
-		Dex:  append([]byte(nil), ra.unsigned.Dex...),
-		Res:  ra.unsigned.Res.Clone(),
+// copyBuild copies the parts of a built run a caller can reach and
+// mutate, except the result's dex file, which the copy leaves nil:
+// the unsigned package and the result's slices.
+func copyBuild(u *apk.Unsigned, r *Result) (*apk.Unsigned, *Result) {
+	cu := &apk.Unsigned{Name: u.Name, Dex: append([]byte(nil), u.Dex...), Res: u.Res.Clone()}
+	cr := *r
+	cr.File = nil
+	cr.Bombs = append([]Bomb(nil), r.Bombs...)
+	cr.StegoStrings = append([]string(nil), r.StegoStrings...)
+	return cu, &cr
+}
+
+// open hands a hit its own copy of the cached run, with the result's
+// file decoded from the copy's dex bytes. The profile maps stay shared
+// (read-only by contract).
+func (ra *resultArtifact) open() (*apk.Unsigned, *Result, error) {
+	u, r := copyBuild(ra.unsigned, ra.result)
+	f, err := dex.Decode(u.Dex)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: cached result: %w", err)
 	}
-	r := *ra.result
-	r.File = ra.result.File.Clone()
-	r.Bombs = append([]Bomb(nil), ra.result.Bombs...)
-	r.StegoStrings = append([]string(nil), ra.result.StegoStrings...)
-	return u, &r
+	r.File = f
+	return u, r, nil
 }
 
 // InputKey content-addresses a signed package: its name, every
@@ -348,8 +364,13 @@ func (e *Engine) observe(name StageName, ns int64, cache string) {
 
 // stageProfile is the engine's profiling stage (paper Fig. 1 step 2):
 // fuzz the original app on a stock emulator, recording method
-// invocation counts and observed field values.
+// invocation counts and observed field values. The profile VM is most
+// of a cold run and runs on one goroutine, so the stage first starts
+// the static analysis beside it (stageAnalyze joins it). The stage's
+// body runs only when the profile artifact misses, so a run whose
+// profile is cached never starts one.
 func stageProfile(ctx context.Context, a *artifacts) error {
+	a.early = startAnalysis(ctx, a.File)
 	watch := a.Prof.Watch
 	if len(watch) == 0 {
 		for _, c := range a.File.Classes {
@@ -375,7 +396,8 @@ func stageProfile(ctx context.Context, a *artifacts) error {
 // manifest, so a package whose manifest lies must never reach them.
 //
 // Cache layering, checked in order:
-//  1. the whole-result artifact (everything skipped, output cloned);
+//  1. the whole-result artifact (everything skipped, output copied
+//     and its dex file decoded);
 //  2. the unpack artifact, keyed by the input key (decoding skipped;
 //     the decoded file is shared read-only);
 //  3. the profile artifact (profiling skipped);
@@ -391,6 +413,11 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	opts := e.Opts.withDefaults()
 	prof := e.Prof.withDefaults()
 	a := &artifacts{In: in, Opts: opts, Prof: prof}
+	// No return path may leave the profile stage's background analysis
+	// running. It polls ctx, so a cancelled run waits for at most one
+	// method's analysis; an unneeded one (an analyze hit, a profile
+	// error) runs to its end, a few milliseconds.
+	defer func() { a.early.wait() }()
 	p := &Protected{}
 	info := &p.Info
 	info.Input = InputKey(in)
@@ -449,7 +476,10 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	t0 := time.Now()
 	if v, ok := e.Cache.Get(info.ResultKey); ok {
 		ra := v.(*resultArtifact)
-		p.Unsigned, p.Result = ra.clone()
+		var err error
+		if p.Unsigned, p.Result, err = ra.open(); err != nil {
+			return nil, err
+		}
 		p.Profile, p.FieldValues = ra.profile, ra.fieldVals
 		ns := time.Since(t0).Nanoseconds()
 		info.CacheHits++
@@ -531,12 +561,10 @@ func (e *Engine) Run(ctx context.Context, in *apk.Package) (*Protected, error) {
 	p.Unsigned, p.Result = a.Unsigned, a.Result
 	p.Profile, p.FieldValues = a.Profile, a.FieldValues
 	if e.Cache != nil {
-		// Cache a deep clone, not the live objects the caller gets —
-		// caller mutations must never reach future cache hits.
+		// Cache a copy, not the live objects the caller gets — caller
+		// mutations must never reach future cache hits.
 		ra := &resultArtifact{profile: p.Profile, fieldVals: p.FieldValues}
-		ra.unsigned, ra.result = (&resultArtifact{
-			unsigned: p.Unsigned, result: p.Result,
-		}).clone()
+		ra.unsigned, ra.result = copyBuild(p.Unsigned, p.Result)
 		e.Cache.Put(info.ResultKey, ra, resultBytes(ra))
 	}
 	if e.Obs != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -395,6 +396,100 @@ func TestEngineCancelMidConstruct(t *testing.T) {
 	}
 	if !goroutinesSettle(before) {
 		t.Errorf("%d goroutines before the run, %d after: a sealing worker outlived it", before, runtime.NumGoroutine())
+	}
+}
+
+// TestEngineCancelMidProfile: a context cancelled while the profile VM
+// runs ends the run with the context's error, and the analysis
+// goroutine started beside the VM has stopped by the time Run returns.
+// The goroutine's first poll cancels the run and then stays busy for
+// longer than the rest of the run takes, so only a Run that joins the
+// goroutine can return after it.
+func TestEngineCancelMidProfile(t *testing.T) {
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	e := &Engine{Opts: Options{Seed: 3}, Prof: ProfileConfig{Events: 300, Domain: 32, Seed: 7}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var polls atomic.Int64
+	var busy atomic.Bool
+	testHookBackgroundPoll = func() {
+		if polls.Add(1) == 1 {
+			busy.Store(true)
+			cancel()
+			time.Sleep(300 * time.Millisecond)
+			busy.Store(false)
+		}
+	}
+	defer func() { testHookBackgroundPoll = nil }()
+
+	before := runtime.NumGoroutine()
+	_, err := e.Run(ctx, pkg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if busy.Load() {
+		t.Error("Run returned while the background analysis was still running")
+	}
+	if polls.Load() != 1 {
+		t.Errorf("background analysis polled %d times, want 1: it must stop at the first cancelled poll", polls.Load())
+	}
+	if !goroutinesSettle(before) {
+		t.Errorf("%d goroutines before the run, %d after: the analysis goroutine outlived it", before, runtime.NumGoroutine())
+	}
+}
+
+// TestEngineResultHitDecodesBuiltBytes: the result artifact keeps the
+// built bytes and records, not a dex file, so a hit decodes its file.
+// That file must encode to the built bytes, and mutating what the
+// build or a hit returned must never reach a later hit.
+func TestEngineResultHitDecodesBuiltBytes(t *testing.T) {
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	e := &Engine{Opts: Options{Seed: 3, Detections: []DetectionMethod{DetectDigest}}, Cache: artifact.NewStore(64 << 20)}
+	built, err := e.Run(context.Background(), pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDex := append([]byte(nil), built.Unsigned.Dex...)
+	wantRes := *built.Result
+	wantRes.File = nil
+	wantRes.Bombs = append([]Bomb(nil), built.Result.Bombs...)
+	wantRes.StegoStrings = append([]string(nil), built.Result.StegoStrings...)
+	wantStrings := append([]string(nil), built.Unsigned.Res.Strings...)
+	if len(wantRes.Bombs) == 0 || len(wantRes.StegoStrings) == 0 {
+		t.Fatalf("%d bombs, %d stego strings: the mutations below would be vacuous", len(wantRes.Bombs), len(wantRes.StegoStrings))
+	}
+	mutate := func(p *Protected) {
+		p.Unsigned.Dex[len(p.Unsigned.Dex)/2] ^= 0xFF
+		p.Unsigned.Res.Strings[0] = "mutated"
+		p.Result.Bombs[0].Salt = "mutated"
+		p.Result.StegoStrings[0] = "mutated"
+		p.Result.File.Classes[0].Name = "Mutated"
+		p.Result.File.Strings[0] = "mutated"
+	}
+	mutate(built)
+	for i := 0; i < 2; i++ {
+		hit, err := e.Run(context.Background(), pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hit.Info.Stages) != 1 || hit.Info.Stages[0].Cache != "hit" {
+			t.Fatalf("run %d: %+v, want one result hit", i, hit.Info.Stages)
+		}
+		if !bytes.Equal(hit.Unsigned.Dex, wantDex) {
+			t.Fatalf("run %d: hit dex differs from the built bytes", i)
+		}
+		if !bytes.Equal(dex.Encode(hit.Result.File), wantDex) {
+			t.Fatalf("run %d: the hit's Result.File does not encode to the built bytes", i)
+		}
+		got := *hit.Result
+		got.File = nil
+		if !reflect.DeepEqual(&got, &wantRes) {
+			t.Errorf("run %d: hit result records differ from the built ones", i)
+		}
+		if !reflect.DeepEqual(hit.Unsigned.Res.Strings, wantStrings) {
+			t.Errorf("run %d: hit resource strings differ from the built ones", i)
+		}
+		mutate(hit)
 	}
 }
 

@@ -30,18 +30,98 @@ import (
 // construct analyses each method before editing it, and its earlier
 // edits only append strings, classes and blobs or rewrite methods
 // already finalized (TestStageAnalyzeMatchesConstructClone).
+//
+// When the profile stage ran, the analyses were started beside the
+// profile VM, before the hot set was known (startAnalysis); this stage
+// joins them and drops the hot methods'. Otherwise it analyses the
+// non-hot methods itself. Either way the same function computes every
+// analysis, and each depends on its method alone, so the two paths
+// give the same slice.
 func stageAnalyze(ctx context.Context, a *artifacts) error {
 	a.Hot = hotMethods(a.Profile, a.Opts.HotFrac)
-	for _, m := range a.File.Methods() {
-		if m.IsSynthetic() || a.Hot[m.FullName()] {
-			continue
+	var all []candidateAnalysis
+	var err error
+	if a.early != nil {
+		all, err = a.early.wait()
+	} else {
+		all, err = analyzeCandidates(a.File, a.Hot, ctx.Err)
+	}
+	if err != nil {
+		return err
+	}
+	for _, c := range all {
+		if !a.Hot[c.name] {
+			a.analyses = append(a.analyses, c.ma)
 		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: analyze stage: %w", err)
-		}
-		a.analyses = append(a.analyses, analyzeMethod(a.File, m))
 	}
 	return nil
+}
+
+// candidateAnalysis is one method's analysis under its full name.
+type candidateAnalysis struct {
+	name string
+	ma   methodAnalysis
+}
+
+// analyzeCandidates analyses every non-synthetic method of f not in
+// hot, in File.Methods() order, calling poll before each and stopping
+// at its first error.
+func analyzeCandidates(f *dex.File, hot map[string]bool, poll func() error) ([]candidateAnalysis, error) {
+	var out []candidateAnalysis
+	for _, m := range f.Methods() {
+		name := m.FullName()
+		if m.IsSynthetic() || hot[name] {
+			continue
+		}
+		if err := poll(); err != nil {
+			return nil, fmt.Errorf("core: analyze stage: %w", err)
+		}
+		out = append(out, candidateAnalysis{name, analyzeMethod(f, m)})
+	}
+	return out, nil
+}
+
+// backgroundAnalysis is analyzeCandidates running on its own goroutine
+// beside the profile VM. The hot set is not known yet, so it analyses
+// every non-synthetic method; stageAnalyze drops the hot ones.
+type backgroundAnalysis struct {
+	done chan struct{}
+	all  []candidateAnalysis
+	err  error
+}
+
+// testHookBackgroundPoll, when set, runs before each poll of a
+// background analysis (tests only).
+var testHookBackgroundPoll func()
+
+// startAnalysis starts analysing f's construct candidates. The
+// goroutine polls ctx between methods; whoever starts it must wait for
+// it on every path.
+func startAnalysis(ctx context.Context, f *dex.File) *backgroundAnalysis {
+	b := &backgroundAnalysis{done: make(chan struct{})}
+	hook := testHookBackgroundPoll
+	poll := ctx.Err
+	if hook != nil {
+		poll = func() error {
+			hook()
+			return ctx.Err()
+		}
+	}
+	go func() {
+		defer close(b.done)
+		b.all, b.err = analyzeCandidates(f, nil, poll)
+	}()
+	return b
+}
+
+// wait joins the analysis and returns its result. It is a no-op on
+// nil.
+func (b *backgroundAnalysis) wait() ([]candidateAnalysis, error) {
+	if b == nil {
+		return nil, nil
+	}
+	<-b.done
+	return b.all, b.err
 }
 
 // methodAnalysis is one construct candidate's static analysis. It is
