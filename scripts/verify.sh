@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification: build, vet, a gofmt check, race-enabled tests
 # (the VM package first, then the whole tree), the quickened-vs-
-# reference differential step, the engine byte-identity and golden
-# tests at GOMAXPROCS 1, 2 and 4, vet and short tests of the cmd/benchrun
+# reference differential step, the engine byte-identity, golden,
+# overlapped-analysis and cancellation tests at GOMAXPROCS 1, 2 and 4,
+# vet and short tests of the cmd/benchrun
 # module, and 20s fuzzes of the dex decoder, the quickened interpreter,
 # the apk archive reader, the similarity index, the Event JSON codec,
 # the report-body decoder and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
@@ -43,11 +44,13 @@ echo "==> differential smoke: quickened vs reference interpreter"
 go test -run 'TestDifferential' -count=1 ./internal/vm
 
 echo "==> engine byte identity and goldens at -cpu 1,2,4"
-# Construct seals bomb payloads on GOMAXPROCS goroutines; the protected
-# bytes must not depend on how many. The core tests build fresh engines
-# each time, so one process runs all three counts. exp.Prepare caches
-# per process, so its golden test gets one process per count.
-go test -run '^(TestEngineGoldenDigests|TestEngineBytesIdenticalAcrossGOMAXPROCS|TestEngineWarmCacheByteIdentical|TestEngineConcurrentReseedsShareAnalysis)$' \
+# Construct seals bomb payloads on GOMAXPROCS goroutines, and a cold
+# run analyses methods on a goroutine beside the profile VM; the
+# protected bytes must not depend on how many CPUs share that work, and
+# no goroutine may outlive a cancelled run. The core tests build fresh
+# engines each time, so one process runs all three counts. exp.Prepare
+# caches per process, so its golden test gets one process per count.
+go test -run '^(TestEngineGoldenDigests|TestEngineBytesIdenticalAcrossGOMAXPROCS|TestEngineWarmCacheByteIdentical|TestEngineConcurrentReseedsShareAnalysis|TestOverlappedAnalysisMatchesInline|TestEngineCancelMidProfile|TestEngineResultHitDecodesBuiltBytes)$' \
 	-cpu 1,2,4 -count=1 ./internal/core
 for cpu in 1 2 4; do
 	go test -run '^TestProtectedOutputGoldenDigests$' -cpu "$cpu" -count=1 ./internal/exp
