@@ -6,10 +6,12 @@
 //	       [-metrics out.json] [-debug-addr :6060]
 //
 // With -all (the default when nothing is selected) every table, figure
-// and extra experiment is produced in order. Extras: fp (false
-// positives), size (code size), human (analyst study), matrix
-// (attack × protection resilience matrix), ablate (design-choice
-// ablations), chaos (fault-injection resilience campaigns).
+// and extra experiment is produced in order; -table, -figure and
+// -extra each pick one, and a value that names none is an error.
+// Extras: fp (false positives), size (code size), human (analyst
+// study), matrix (attack × protection resilience matrix), ablate
+// (design-choice ablations), chaos (fault-injection resilience
+// campaigns).
 //
 // -workers bounds the evaluation worker pool: 0 (default) uses all
 // available cores, 1 forces the fully serial path. Either setting
@@ -30,6 +32,9 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
+	"strings"
 	"syscall"
 
 	"bombdroid/internal/exp"
@@ -59,6 +64,15 @@ func run(ctx context.Context, out io.Writer, args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	fpHours := 10
+	if *scale == "quick" {
+		fpHours = 2
+	}
+	list := experiments(fpHours)
+	selected, err := pick(list, *table, *figure, *extra)
+	if err != nil {
+		return err
+	}
 	var reg *obs.Registry
 	if *metricsPath != "" || *debugAddr != "" {
 		reg = obs.NewRegistry()
@@ -80,114 +94,101 @@ func run(ctx context.Context, out io.Writer, args []string) (err error) {
 		}()
 	}
 
-	selected := *table != 0 || *figure != 0 || *extra != ""
-	if !selected {
-		*all = true
-	}
-
-	if *all || *table == 1 {
-		rows, err := exp.Table1Ctx(ctx, sc)
+	everything := *all || len(selected) == 0
+	for _, e := range list {
+		if !everything && selected[e.flag] != e.sel {
+			continue
+		}
+		text, err := e.run(ctx, sc)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, exp.FormatTable1(rows))
-	}
-	if *all || *table == 2 {
-		rows, err := exp.Table2Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatTable2(rows))
-	}
-	if *all || *table == 3 {
-		rows, err := exp.Table3Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatTable3(rows))
-	}
-	if *all || *table == 4 {
-		rows, err := exp.Table4Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatTable4(rows))
-	}
-	if *all || *table == 5 {
-		rows, err := exp.Table5Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatTable5(rows))
-	}
-	if *all || *figure == 3 {
-		series, err := exp.Figure3Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatFigure3(series))
-	}
-	if *all || *figure == 4 {
-		rows, err := exp.Figure4Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatFigure4(rows))
-	}
-	if *all || *figure == 5 {
-		series, err := exp.Figure5Ctx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatFigure5(series))
-	}
-	if *all || *extra == "fp" {
-		hours := 10
-		if *scale == "quick" {
-			hours = 2
-		}
-		rows, err := exp.FalsePositivesCtx(ctx, sc, hours)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatFPResults(rows))
-	}
-	if *all || *extra == "size" {
-		rows, avg, err := exp.CodeSizeCtx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatSizeRows(rows, avg))
-	}
-	if *all || *extra == "human" {
-		rows, err := exp.HumanAnalystStudyCtx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatAnalystRows(rows))
-	}
-	if *all || *extra == "matrix" {
-		rows, err := exp.ResilienceMatrixCtx(ctx, 7)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatMatrix(rows))
-	}
-	if *all || *extra == "ablate" {
-		rows, err := exp.AblationsCtx(ctx, 11)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatAblations(rows))
-	}
-	if *all || *extra == "chaos" {
-		rows, err := exp.ChaosResilienceCtx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, exp.FormatChaos(rows))
+		fmt.Fprintln(out, text)
 	}
 	return nil
+}
+
+// experiment is one section of the report: the flag that selects it
+// alone (-table, -figure or -extra), that flag's value, and the
+// function that runs the experiment and renders its text.
+type experiment struct {
+	flag, sel string
+	run       func(ctx context.Context, sc exp.Scale) (string, error)
+}
+
+// experiments lists the report's sections in -all order. fpHours is
+// the virtual length of each false-positive run.
+func experiments(fpHours int) []experiment {
+	return []experiment{
+		{"table", "1", section(exp.Table1, exp.FormatTable1)},
+		{"table", "2", section(exp.Table2, exp.FormatTable2)},
+		{"table", "3", section(exp.Table3, exp.FormatTable3)},
+		{"table", "4", section(exp.Table4, exp.FormatTable4)},
+		{"table", "5", section(exp.Table5, exp.FormatTable5)},
+		{"figure", "3", section(exp.Figure3, exp.FormatFigure3)},
+		{"figure", "4", section(exp.Figure4, exp.FormatFigure4)},
+		{"figure", "5", section(exp.Figure5, exp.FormatFigure5)},
+		{"extra", "fp", section(func(ctx context.Context, sc exp.Scale) ([]exp.FPResult, error) {
+			return exp.FalsePositives(ctx, sc, fpHours)
+		}, exp.FormatFPResults)},
+		{"extra", "size", func(ctx context.Context, sc exp.Scale) (string, error) {
+			rows, avg, err := exp.CodeSize(ctx, sc)
+			if err != nil {
+				return "", err
+			}
+			return exp.FormatSizeRows(rows, avg), nil
+		}},
+		{"extra", "human", section(exp.HumanAnalystStudy, exp.FormatAnalystRows)},
+		{"extra", "matrix", section(func(ctx context.Context, _ exp.Scale) ([]exp.MatrixRow, error) {
+			return exp.ResilienceMatrix(ctx, 7)
+		}, exp.FormatMatrix)},
+		{"extra", "ablate", section(func(ctx context.Context, _ exp.Scale) ([]exp.AblationRow, error) {
+			return exp.Ablations(ctx, 11)
+		}, exp.FormatAblations)},
+		{"extra", "chaos", section(exp.ChaosResilience, exp.FormatChaos)},
+	}
+}
+
+// section pairs an experiment with the function that formats its rows.
+func section[T any](run func(context.Context, exp.Scale) (T, error), format func(T) string) func(context.Context, exp.Scale) (string, error) {
+	return func(ctx context.Context, sc exp.Scale) (string, error) {
+		rows, err := run(ctx, sc)
+		if err != nil {
+			return "", err
+		}
+		return format(rows), nil
+	}
+}
+
+// pick maps the set selector flags to their values and refuses a value
+// that names no section, listing the valid ones.
+func pick(list []experiment, table, figure int, extra string) (map[string]string, error) {
+	selected := map[string]string{}
+	if table != 0 {
+		selected["table"] = strconv.Itoa(table)
+	}
+	if figure != 0 {
+		selected["figure"] = strconv.Itoa(figure)
+	}
+	if extra != "" {
+		selected["extra"] = extra
+	}
+	for _, flag := range []string{"table", "figure", "extra"} {
+		want, ok := selected[flag]
+		if !ok {
+			continue
+		}
+		var valid []string
+		for _, e := range list {
+			if e.flag == flag {
+				valid = append(valid, e.sel)
+			}
+		}
+		if !slices.Contains(valid, want) {
+			return nil, fmt.Errorf("unknown -%s %q (want one of %s)", flag, want, strings.Join(valid, ", "))
+		}
+	}
+	return selected, nil
 }
 
 // scaleFor maps the -scale and -workers flags to an exp.Scale.

@@ -43,6 +43,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), &out, []string{"-no-such-flag"}); err == nil {
 		t.Fatal("run with unknown flag should fail")
 	}
+	// A selector that names no section used to print nothing and
+	// succeed; it must fail and name the valid values.
+	for _, c := range []struct {
+		args  []string
+		valid string
+	}{
+		{[]string{"-table", "9"}, "1, 2, 3, 4, 5"},
+		{[]string{"-figure", "1"}, "3, 4, 5"},
+		{[]string{"-extra", "bogus"}, "fp, size, human, matrix, ablate, chaos"},
+	} {
+		err := run(context.Background(), &out, c.args)
+		if err == nil || !strings.Contains(err.Error(), c.valid) {
+			t.Errorf("run %v: err = %v, want an error naming %s", c.args, err, c.valid)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected runs printed output:\n%s", out.String())
+	}
 }
 
 // TestRunTable2WorkersIdentical exercises the real pipeline end to end

@@ -95,7 +95,7 @@ func run(w io.Writer) error {
 	detected := 0
 	for i := 0; i < 40; i++ {
 		dev := android.SamplePopulation(fmt.Sprintf("u%d", i), rng)
-		sr, err := sim.RunUserSession(pirated, surf, dev, sim.SessionOptions{
+		sr, err := sim.RunUserSession(context.Background(), pirated, surf, dev, sim.SessionOptions{
 			Seed: int64(i) * 17, StartClockMs: -1, CapMs: 20 * 60_000,
 		})
 		if err != nil {

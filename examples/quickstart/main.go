@@ -73,7 +73,7 @@ func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
 		dev := android.SamplePopulation(fmt.Sprintf("user%d", i), rng)
-		sr, err := sim.RunUserSession(pirated, surf, dev, sim.SessionOptions{
+		sr, err := sim.RunUserSession(context.Background(), pirated, surf, dev, sim.SessionOptions{
 			Seed: int64(i) * 31, StartClockMs: -1, CapMs: 30 * 60_000,
 		})
 		if err != nil {
@@ -94,7 +94,7 @@ func run(w io.Writer) error {
 
 	// 5. Sanity: the genuine app never responds.
 	dev := android.SamplePopulation("control", rng)
-	sr, err := sim.RunUserSession(protected, surf, dev, sim.SessionOptions{
+	sr, err := sim.RunUserSession(context.Background(), protected, surf, dev, sim.SessionOptions{
 		Seed: 99, StartClockMs: -1, CapMs: 10 * 60_000,
 	})
 	if err != nil {

@@ -43,23 +43,18 @@ func ablationFixture(seed int64) (*appgen.App, *apk.Package, *apk.KeyPair, error
 	return app, pkg, key, nil
 }
 
-// Ablations runs every DESIGN.md §6 ablation and returns the rows.
-func Ablations(seed int64) ([]AblationRow, error) {
-	return AblationsCtx(context.Background(), seed)
-}
-
 // ablationCacheBytes bounds the artifact store one ablation run
 // shares across its arms: the fixture's analysis plus a few protected
 // builds of a 2,000-line app.
 const ablationCacheBytes = 64 << 20
 
-// AblationsCtx is the canonical ablation runner: the five
-// design-choice measurements run in order, and ctx is checked between
-// them, so a cancelled run stops at the next stage boundary. Every arm
-// protects through an engine of its own option set over one store, so
-// the arms share the fixture's analysis, and arms with equal options
-// share the protected build.
-func AblationsCtx(ctx context.Context, seed int64) ([]AblationRow, error) {
+// Ablations runs every DESIGN.md §6 ablation and returns the rows. The
+// five design-choice measurements run in order, and ctx is checked
+// between them, so a cancelled run stops at the next stage boundary.
+// Every arm protects through an engine of its own option set over one
+// store, so the arms share the fixture's analysis, and arms with equal
+// options share the protected build.
+func Ablations(ctx context.Context, seed int64) ([]AblationRow, error) {
 	app, pkg, key, err := ablationFixture(seed)
 	if err != nil {
 		return nil, err

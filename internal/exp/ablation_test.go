@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // the arms' shared engine store, so it also proves the store changes
 // no measurement.
 func TestAblations(t *testing.T) {
-	rows, err := Ablations(11)
+	rows, err := Ablations(context.Background(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}

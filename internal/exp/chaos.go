@@ -43,12 +43,7 @@ var chaosProfiles = []struct {
 // must analyse while users merely run; this experiment adds the
 // operational half of that claim — detection keeps working, and never
 // hurts an honest user's app, when devices and networks misbehave.
-func ChaosResilience(sc Scale) ([]ChaosRow, error) {
-	return ChaosResilienceCtx(context.Background(), sc)
-}
-
-// ChaosResilienceCtx is ChaosResilience with cancellation via ctx.
-func ChaosResilienceCtx(ctx context.Context, sc Scale) ([]ChaosRow, error) {
+func ChaosResilience(ctx context.Context, sc Scale) ([]ChaosRow, error) {
 	// Apps fan across the pool; each app's three fault profiles stay
 	// serial (they share nothing, but three cheap campaigns per app do
 	// not justify another nesting level).

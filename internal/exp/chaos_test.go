@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestChaosResilienceGrid(t *testing.T) {
 	sc := tiny()
 	sc.Apps = []string{"AndroFish"}
-	rows, err := ChaosResilience(sc)
+	rows, err := ChaosResilience(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,26 +6,22 @@
 // triggered by Dynodroid over an hour) — plus the §8.3.2 human-
 // analyst study, the §8.4 false-positive and code-size measurements,
 // and a resilience matrix pitting every §2.1 attack against naive
-// bombs, SSN, and BombDroid. Both cmd/report and the repository's
-// benchmarks drive these entry points; Scale shrinks workloads for
-// quick runs.
+// bombs, SSN, and BombDroid. cmd/report drives these entry points;
+// Scale shrinks workloads for quick runs.
 //
 // # API convention: ctx-first
 //
-// Every experiment has one canonical entry point that takes a
-// context.Context as its first parameter — Table3Ctx, Figure5Ctx,
-// ChaosResilienceCtx, AblationsCtx, ResilienceMatrixCtx, and so on.
-// The canonical function owns the whole implementation: cancellation
-// is checked between work items (and between stages for the staged
-// runners), so a fired context stops the run at the next boundary and
-// returns ctx.Err(). The context-free name (Table3, Figure5, …) is a
-// one-line convenience wrapper that passes context.Background(); it
-// exists for REPL-style callers and carries no logic of its own. New
-// experiments must follow the same shape: implement the Ctx variant,
-// wrap it, never fork the body.
+// Every experiment has exactly one entry point, and it takes a
+// context.Context as its first parameter: Table3(ctx, sc),
+// Figure5(ctx, sc), Ablations(ctx, seed), ResilienceMatrix(ctx, seed),
+// and so on. Cancellation is checked between work items (and between
+// stages for the staged runners), so a fired context stops the run at
+// the next boundary and returns ctx.Err(). There are no context-free
+// wrappers; callers without a context pass context.Background(). New
+// experiments follow the same shape.
 //
 // Scale defaulting follows the same single-owner rule: the pool
-// helpers (mapApps, forIndexed) resolve Scale defaults exactly once
+// helpers (mapApps, ForIndexed) resolve Scale defaults exactly once
 // and hand the resolved Scale to the experiment body, so individual
 // experiments never call withDefaults themselves.
 package exp

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -21,11 +22,11 @@ func tiny() Scale {
 }
 
 func TestPrepareCachesAndPipelines(t *testing.T) {
-	p1, err := Prepare("AndroFish", 1200)
+	p1, err := PrepareCtx(context.Background(), "AndroFish", 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Prepare("AndroFish", 1200)
+	p2, err := PrepareCtx(context.Background(), "AndroFish", 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestPrepareCachesAndPipelines(t *testing.T) {
 }
 
 func TestTable1ShapesMatchPaper(t *testing.T) {
-	rows, err := Table1(tiny())
+	rows, err := Table1(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestTable1ShapesMatchPaper(t *testing.T) {
 }
 
 func TestTable2InjectionCounts(t *testing.T) {
-	rows, err := Table2(tiny())
+	rows, err := Table2(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTable2InjectionCounts(t *testing.T) {
 }
 
 func TestTable3FirstTriggerTimes(t *testing.T) {
-	rows, err := Table3(tiny())
+	rows, err := Table3(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestTable3FirstTriggerTimes(t *testing.T) {
 }
 
 func TestTable4FuzzerOrdering(t *testing.T) {
-	rows, err := Table4(tiny())
+	rows, err := Table4(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestTable4FuzzerOrdering(t *testing.T) {
 }
 
 func TestTable5OverheadSmall(t *testing.T) {
-	rows, err := Table5(tiny())
+	rows, err := Table5(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestTable5OverheadSmall(t *testing.T) {
 }
 
 func TestFigure3EntropyOrdering(t *testing.T) {
-	series, err := Figure3(tiny())
+	series, err := Figure3(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestFigure3EntropyOrdering(t *testing.T) {
 }
 
 func TestFigure4StrengthMix(t *testing.T) {
-	rows, err := Figure4(tiny())
+	rows, err := Figure4(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestFigure4StrengthMix(t *testing.T) {
 }
 
 func TestFigure5PlateausLow(t *testing.T) {
-	series, err := Figure5(tiny())
+	series, err := Figure5(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestFigure5PlateausLow(t *testing.T) {
 }
 
 func TestFalsePositivesZero(t *testing.T) {
-	rows, err := FalsePositives(tiny(), 1)
+	rows, err := FalsePositives(context.Background(), tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestFalsePositivesZero(t *testing.T) {
 }
 
 func TestCodeSizeBand(t *testing.T) {
-	rows, avg, err := CodeSize(tiny())
+	rows, avg, err := CodeSize(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestCodeSizeBand(t *testing.T) {
 }
 
 func TestHumanAnalystMinority(t *testing.T) {
-	rows, err := HumanAnalystStudy(tiny())
+	rows, err := HumanAnalystStudy(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestHumanAnalystMinority(t *testing.T) {
 }
 
 func TestResilienceMatrixVerdicts(t *testing.T) {
-	rows, err := ResilienceMatrix(5)
+	rows, err := ResilienceMatrix(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,7 @@ type FPResult struct {
 
 // FalsePositives runs Dynodroid on the *genuine* protected app for
 // hours; any response is a false positive (the paper reports zero).
-func FalsePositives(sc Scale, hours int) ([]FPResult, error) {
-	return FalsePositivesCtx(context.Background(), sc, hours)
-}
-
-// FalsePositivesCtx is FalsePositives with cancellation via ctx.
-func FalsePositivesCtx(ctx context.Context, sc Scale, hours int) ([]FPResult, error) {
+func FalsePositives(ctx context.Context, sc Scale, hours int) ([]FPResult, error) {
 	return mapApps(ctx, sc, func(_ Scale, name string, p *PreparedApp) (FPResult, error) {
 		v, err := vm.New(p.Protected, android.EmulatorLab(2)[1], vm.Options{Seed: seedFor(name) + 21})
 		if err != nil {
@@ -65,12 +60,7 @@ type SizeRow struct {
 }
 
 // CodeSize measures package growth across the named apps.
-func CodeSize(sc Scale) ([]SizeRow, float64, error) {
-	return CodeSizeCtx(context.Background(), sc)
-}
-
-// CodeSizeCtx is CodeSize with cancellation via ctx.
-func CodeSizeCtx(ctx context.Context, sc Scale) ([]SizeRow, float64, error) {
+func CodeSize(ctx context.Context, sc Scale) ([]SizeRow, float64, error) {
 	rows, err := mapApps(ctx, sc, func(_ Scale, name string, p *PreparedApp) (SizeRow, error) {
 		before := p.Original.TotalSize()
 		after := p.Protected.TotalSize()
@@ -98,12 +88,7 @@ type AnalystRow struct {
 
 // HumanAnalystStudy gives each app to a skilled analyst with env
 // mutation for the configured hours (paper: 20h, ≤9.3% triggered).
-func HumanAnalystStudy(sc Scale) ([]AnalystRow, error) {
-	return HumanAnalystStudyCtx(context.Background(), sc)
-}
-
-// HumanAnalystStudyCtx is HumanAnalystStudy with cancellation via ctx.
-func HumanAnalystStudyCtx(ctx context.Context, sc Scale) ([]AnalystRow, error) {
+func HumanAnalystStudy(ctx context.Context, sc Scale) ([]AnalystRow, error) {
 	return mapApps(ctx, sc, func(sc Scale, name string, p *PreparedApp) (AnalystRow, error) {
 		total := len(p.Result.RealBombs())
 		ar, err := attack.HumanAnalyst(p.Pirated, p.App.Config.ParamDomain, total,
@@ -133,15 +118,10 @@ type MatrixRow struct {
 // ResilienceMatrix runs the §2.1 attack suite against naive bombs,
 // SSN, and BombDroid on one generated app, reproducing the paper's
 // qualitative table: every attack defeats at least one baseline and
-// none defeats BombDroid.
-func ResilienceMatrix(seed int64) ([]MatrixRow, error) {
-	return ResilienceMatrixCtx(context.Background(), seed)
-}
-
-// ResilienceMatrixCtx is the canonical resilience-matrix runner: the
-// attack stages run in order and ctx is checked between them, so a
-// cancelled run stops at the next attack boundary.
-func ResilienceMatrixCtx(ctx context.Context, seed int64) ([]MatrixRow, error) {
+// none defeats BombDroid. The attack stages run in order and ctx is
+// checked between them, so a cancelled run stops at the next attack
+// boundary.
+func ResilienceMatrix(ctx context.Context, seed int64) ([]MatrixRow, error) {
 	app, err := appgen.Generate(appgen.Config{Name: "matrix", Seed: seed, TargetLOC: 1200})
 	if err != nil {
 		return nil, err

@@ -20,12 +20,9 @@ type Figure3Series struct {
 	Unique  int
 }
 
-// Figure3 replays the paper's entropy visualization on AndroFish.
-func Figure3(sc Scale) ([]Figure3Series, error) { return Figure3Ctx(context.Background(), sc) }
-
-// Figure3Ctx is Figure3 with cancellation via ctx: the minute-by-
-// minute sampling loop stops at the first cancelled minute.
-func Figure3Ctx(ctx context.Context, sc Scale) ([]Figure3Series, error) {
+// Figure3 replays the paper's entropy visualization on AndroFish. The
+// minute-by-minute sampling loop stops at the first cancelled minute.
+func Figure3(ctx context.Context, sc Scale) ([]Figure3Series, error) {
 	sc = sc.withDefaults()
 	p, err := PrepareCtx(ctx, "AndroFish", sc.ProfileEvents)
 	if err != nil {
@@ -80,10 +77,7 @@ type Figure4Row struct {
 }
 
 // Figure4 tallies trigger strength per named app.
-func Figure4(sc Scale) ([]Figure4Row, error) { return Figure4Ctx(context.Background(), sc) }
-
-// Figure4Ctx is Figure4 with cancellation via ctx.
-func Figure4Ctx(ctx context.Context, sc Scale) ([]Figure4Row, error) {
+func Figure4(ctx context.Context, sc Scale) ([]Figure4Row, error) {
 	return mapApps(ctx, sc, func(_ Scale, name string, p *PreparedApp) (Figure4Row, error) {
 		row := Figure4Row{App: name}
 		for _, b := range p.Result.Bombs {
@@ -122,12 +116,9 @@ type Figure5Series struct {
 // Figure5 fuzzes each pirated app with Dynodroid in the attacker lab
 // and samples the triggered-bomb percentage each minute. Apps fan
 // across the worker pool; each app's minute-by-minute loop stays
-// serial because trigger state accumulates in one VM and one fuzzer.
-func Figure5(sc Scale) ([]Figure5Series, error) { return Figure5Ctx(context.Background(), sc) }
-
-// Figure5Ctx is Figure5 with cancellation via ctx: each app's
-// minute-by-minute fuzzing loop stops at the first cancelled minute.
-func Figure5Ctx(ctx context.Context, sc Scale) ([]Figure5Series, error) {
+// serial because trigger state accumulates in one VM and one fuzzer,
+// and that loop stops at the first cancelled minute.
+func Figure5(ctx context.Context, sc Scale) ([]Figure5Series, error) {
 	return mapApps(ctx, sc, func(sc Scale, name string, p *PreparedApp) (Figure5Series, error) {
 		total := len(p.Result.RealBombs())
 		v, err := vm.NewUnverified(p.Pirated, android.EmulatorLab(1)[0], vm.Options{Seed: seedFor(name) + 3})

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"bombdroid/internal/apk"
@@ -25,7 +26,7 @@ var goldenProtectedDigests = map[string]string{
 
 func TestProtectedOutputGoldenDigests(t *testing.T) {
 	for name, want := range goldenProtectedDigests {
-		p, err := Prepare(name, 2500)
+		p, err := PrepareCtx(context.Background(), name, 2500)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"sync"
@@ -21,17 +22,18 @@ func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 	par := Quick()
 	par.Workers = 8
 
+	ctx := context.Background()
 	gens := []struct {
 		name string
 		run  func(Scale) (any, error)
 	}{
-		{"Table1", func(sc Scale) (any, error) { return Table1(sc) }},
-		{"Table2", func(sc Scale) (any, error) { return Table2(sc) }},
-		{"Table3", func(sc Scale) (any, error) { return Table3(sc) }},
-		{"Table4", func(sc Scale) (any, error) { return Table4(sc) }},
-		{"Table5", func(sc Scale) (any, error) { return Table5(sc) }},
-		{"Figure4", func(sc Scale) (any, error) { return Figure4(sc) }},
-		{"Figure5", func(sc Scale) (any, error) { return Figure5(sc) }},
+		{"Table1", func(sc Scale) (any, error) { return Table1(ctx, sc) }},
+		{"Table2", func(sc Scale) (any, error) { return Table2(ctx, sc) }},
+		{"Table3", func(sc Scale) (any, error) { return Table3(ctx, sc) }},
+		{"Table4", func(sc Scale) (any, error) { return Table4(ctx, sc) }},
+		{"Table5", func(sc Scale) (any, error) { return Table5(ctx, sc) }},
+		{"Figure4", func(sc Scale) (any, error) { return Figure4(ctx, sc) }},
+		{"Figure5", func(sc Scale) (any, error) { return Figure5(ctx, sc) }},
 	}
 	for _, g := range gens {
 		want, err := g.run(serial)
@@ -58,8 +60,8 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 		sc.Workers = workers
 		sc.Obs = obs.NewRegistry()
 		for name, gen := range map[string]func(Scale) error{
-			"Table3": func(sc Scale) error { _, err := Table3(sc); return err },
-			"Table4": func(sc Scale) error { _, err := Table4(sc); return err },
+			"Table3": func(sc Scale) error { _, err := Table3(context.Background(), sc); return err },
+			"Table4": func(sc Scale) error { _, err := Table4(context.Background(), sc); return err },
 		} {
 			if err := gen(sc); err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
@@ -105,7 +107,7 @@ func TestPrepareOnceUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := Prepare("SWJournal", events)
+			p, err := PrepareCtx(context.Background(), "SWJournal", events)
 			if err != nil {
 				t.Errorf("Prepare: %v", err)
 				return
@@ -123,7 +125,7 @@ func TestPrepareOnceUnderContention(t *testing.T) {
 		}
 	}
 	// A later wave is a pure cache hit.
-	if _, err := Prepare("SWJournal", events); err != nil {
+	if _, err := PrepareCtx(context.Background(), "SWJournal", events); err != nil {
 		t.Fatal(err)
 	}
 	if d := PrepareRuns() - before; d != 1 {
@@ -137,17 +139,17 @@ func TestPrepareOnceUnderContention(t *testing.T) {
 // runs, the way a single `cmd/report -all` prepares each app once.
 func TestPrepareSharedAcrossTables(t *testing.T) {
 	sc := tiny()
-	if _, err := Table2(sc); err != nil { // warms (app, ProfileEvents) keys
+	if _, err := Table2(context.Background(), sc); err != nil { // warms (app, ProfileEvents) keys
 		t.Fatal(err)
 	}
 	before := PrepareRuns()
-	if _, err := Table3(sc); err != nil {
+	if _, err := Table3(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Table5(sc); err != nil {
+	if _, err := Table5(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure4(sc); err != nil {
+	if _, err := Figure4(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
 	if d := PrepareRuns() - before; d != 0 {

@@ -60,10 +60,6 @@ var poolTaskBucketsNs = obs.ExpBuckets(1_000, 8, 9)
 // When sc.Obs is set, every batch reports queue depth, task latency,
 // and per-worker utilization to it.
 func ForIndexed[T any](ctx context.Context, sc Scale, n int, fn func(i int) (T, error)) ([]T, error) {
-	return forIndexed(ctx, sc, n, fn)
-}
-
-func forIndexed[T any](ctx context.Context, sc Scale, n int, fn func(i int) (T, error)) ([]T, error) {
 	sc = sc.withDefaults()
 	reg := sc.Obs
 	workers := workerCount(sc.Workers)
@@ -152,7 +148,7 @@ func workerLabel(w int) string {
 // withDefaults themselves.
 func mapApps[T any](ctx context.Context, sc Scale, fn func(sc Scale, name string, p *PreparedApp) (T, error)) ([]T, error) {
 	sc = sc.withDefaults()
-	return forIndexed(ctx, sc, len(sc.Apps), func(i int) (T, error) {
+	return ForIndexed(ctx, sc, len(sc.Apps), func(i int) (T, error) {
 		name := sc.Apps[i]
 		p, err := PrepareCtx(ctx, name, sc.ProfileEvents)
 		if err != nil {

@@ -206,19 +206,13 @@ func buildOriginal(name string) (*genArtifact, error) {
 	return &genArtifact{name: name, app: app, devKey: devKey, original: original}, nil
 }
 
-// Prepare builds (and caches) the pipeline output for a named app.
+// PrepareCtx builds (and caches) the pipeline output for a named app.
 // One cmd/report invocation prepares each app exactly once no matter
 // how many tables and figures ask for it, or from how many
 // goroutines. The cache key is content-addressed: the original
 // package's digests plus the profiling and tuning options — not the
-// app's name.
-func Prepare(name string, profileEvents int) (*PreparedApp, error) {
-	return PrepareCtx(context.Background(), name, profileEvents)
-}
-
-// PrepareCtx is Prepare with cancellation. Concurrent callers of the
-// same key share one pipeline run; that run observes the first
-// caller's context.
+// app's name. Concurrent callers of the same key share one pipeline
+// run; that run observes the first caller's context.
 func PrepareCtx(ctx context.Context, name string, profileEvents int) (*PreparedApp, error) {
 	g, err := genApp(name)
 	if err != nil {

@@ -27,11 +27,8 @@ type Table1Row struct {
 // Table1 computes the static characteristics of the corpus. With
 // AppsPerCategory == 0 it generates all 963 apps. Categories are
 // independent generation jobs, so they fan across the worker pool.
-func Table1(sc Scale) ([]Table1Row, error) { return Table1Ctx(context.Background(), sc) }
-
-// Table1Ctx is Table1 with cancellation via ctx.
-func Table1Ctx(ctx context.Context, sc Scale) ([]Table1Row, error) {
-	return forIndexed(ctx, sc, len(appgen.Categories), func(ci int) (Table1Row, error) {
+func Table1(ctx context.Context, sc Scale) ([]Table1Row, error) {
+	return ForIndexed(ctx, sc, len(appgen.Categories), func(ci int) (Table1Row, error) {
 		spec := appgen.Categories[ci]
 		var nApps, loc, cand, qcs, env int
 		visit := func(app *appgen.App) error {
@@ -85,10 +82,7 @@ type Table2Row struct {
 }
 
 // Table2 reports injected logic bombs for the named apps.
-func Table2(sc Scale) ([]Table2Row, error) { return Table2Ctx(context.Background(), sc) }
-
-// Table2Ctx is Table2 with cancellation via ctx.
-func Table2Ctx(ctx context.Context, sc Scale) ([]Table2Row, error) {
+func Table2(ctx context.Context, sc Scale) ([]Table2Row, error) {
 	return mapApps(ctx, sc, func(_ Scale, name string, p *PreparedApp) (Table2Row, error) {
 		st := p.Result.Stats
 		return Table2Row{
@@ -113,12 +107,9 @@ type Table3Row struct {
 
 // Table3 measures time to the first triggered bomb across user
 // sessions on population devices (testers vary configurations between
-// runs; sessions start at arbitrary wall-clock times).
-func Table3(sc Scale) ([]Table3Row, error) { return Table3Ctx(context.Background(), sc) }
-
-// Table3Ctx is Table3 with cancellation via ctx: the per-app campaign
-// workers stop claiming sessions when ctx fires.
-func Table3Ctx(ctx context.Context, sc Scale) ([]Table3Row, error) {
+// runs; sessions start at arbitrary wall-clock times). The per-app
+// campaign workers stop claiming sessions when ctx fires.
+func Table3(ctx context.Context, sc Scale) ([]Table3Row, error) {
 	return mapApps(ctx, sc, func(sc Scale, name string, p *PreparedApp) (Table3Row, error) {
 		cr, err := sim.Run(ctx, p.Pirated, p.Surface, sim.CampaignOptions{
 			N: sc.SessionsPerApp, CapMs: int64(sc.SessionCapMin) * 60_000,
@@ -179,10 +170,7 @@ var table4Fuzzers = []struct {
 // lab VM and fuzzer state per run) to damp seed noise; the whole
 // 4-fuzzer × 3-run grid fans across the worker pool per app, on top
 // of the per-app fan-out.
-func Table4(sc Scale) ([]Table4Row, error) { return Table4Ctx(context.Background(), sc) }
-
-// Table4Ctx is Table4 with cancellation via ctx.
-func Table4Ctx(ctx context.Context, sc Scale) ([]Table4Row, error) {
+func Table4(ctx context.Context, sc Scale) ([]Table4Row, error) {
 	const runs = 3
 	return mapApps(ctx, sc, func(sc Scale, name string, p *PreparedApp) (Table4Row, error) {
 		real := p.RealBlobs()
@@ -194,7 +182,7 @@ func Table4Ctx(ctx context.Context, sc Scale) ([]Table4Row, error) {
 			log.Printf("exp: Table4: %s has no real bombs; reporting n/a row", name)
 			return row, nil
 		}
-		cells, err := forIndexed(ctx, sc, len(table4Fuzzers)*runs, func(c int) (float64, error) {
+		cells, err := ForIndexed(ctx, sc, len(table4Fuzzers)*runs, func(c int) (float64, error) {
 			fz, r := table4Fuzzers[c/runs], c%runs
 			// Seeds are keyed to the run index exactly as the serial
 			// engine keyed them, so the grid is cell-order independent.
@@ -243,15 +231,12 @@ type Table5Row struct {
 // and the protected build and compares app compute time (virtual
 // clock minus the identical idle gaps). Code-size increase rides
 // along since it uses the same pair of packages.
-func Table5(sc Scale) ([]Table5Row, error) { return Table5Ctx(context.Background(), sc) }
-
-// Table5Ctx is Table5 with cancellation via ctx.
-func Table5Ctx(ctx context.Context, sc Scale) ([]Table5Row, error) {
+func Table5(ctx context.Context, sc Scale) ([]Table5Row, error) {
 	return mapApps(ctx, sc, func(sc Scale, name string, p *PreparedApp) (Table5Row, error) {
 		// Each run replays one seed's event stream against both builds;
 		// runs are independent, so they fan across the pool and their
 		// tick counts sum by run index.
-		ticks, err := forIndexed(ctx, sc, sc.OverheadRuns, func(run int) ([2]int64, error) {
+		ticks, err := ForIndexed(ctx, sc, sc.OverheadRuns, func(run int) ([2]int64, error) {
 			seed := seedFor(name) + int64(run)*997
 			a, err := computeTicks(p.Original, p, sc.OverheadEvents, seed)
 			if err != nil {

@@ -78,15 +78,10 @@ type SessionResult struct {
 
 // RunUserSession plays the packaged app on the given device like a
 // human user: UI-valid events on active widgets, human pacing, until
-// the first bomb triggers or the cap expires.
-func RunUserSession(pkg *apk.Package, surf Surface, dev *android.Device, opts SessionOptions) (SessionResult, error) {
-	return RunUserSessionCtx(context.Background(), pkg, surf, dev, opts)
-}
-
-// RunUserSessionCtx is RunUserSession with cancellation: the session
-// driver checks ctx between user events and returns ctx.Err() when it
-// fires, so a long session unwinds within one event's work.
-func RunUserSessionCtx(ctx context.Context, pkg *apk.Package, surf Surface, dev *android.Device, opts SessionOptions) (SessionResult, error) {
+// the first bomb triggers or the cap expires. The session loop
+// checks ctx between user events and returns ctx.Err() when it fires,
+// so a long session unwinds within one event's work.
+func RunUserSession(ctx context.Context, pkg *apk.Package, surf Surface, dev *android.Device, opts SessionOptions) (SessionResult, error) {
 	opts = opts.withDefaults()
 	v, err := vm.New(pkg, dev, vm.Options{Seed: opts.Seed, Obs: opts.Obs})
 	if err != nil {
@@ -316,7 +311,7 @@ func Run(ctx context.Context, pkg *apk.Package, surf Surface, opts CampaignOptio
 			errs[i] = err
 			return
 		}
-		srs[i], errs[i] = RunUserSessionCtx(ctx, pkg, surf, devs[i], SessionOptions{
+		srs[i], errs[i] = RunUserSession(ctx, pkg, surf, devs[i], SessionOptions{
 			CapMs: capMs, Seed: seed + int64(i)*101, StartClockMs: -1, Obs: reg,
 		})
 	}

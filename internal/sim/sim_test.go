@@ -56,7 +56,7 @@ func TestUserSessionTriggersOnPirated(t *testing.T) {
 	var firstTimes []int64
 	for i := 0; i < 12; i++ {
 		dev := android.SamplePopulation("u", rng)
-		sr, err := RunUserSession(pirated, surf, dev, SessionOptions{
+		sr, err := RunUserSession(context.Background(), pirated, surf, dev, SessionOptions{
 			Seed: int64(i) * 13, StartClockMs: -1,
 		})
 		if err != nil {
@@ -84,7 +84,7 @@ func TestUserSessionSilentOnGenuine(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 5; i++ {
 		dev := android.SamplePopulation("u", rng)
-		sr, err := RunUserSession(prot, surf, dev, SessionOptions{
+		sr, err := RunUserSession(context.Background(), prot, surf, dev, SessionOptions{
 			CapMs: 10 * 60_000, Seed: int64(i) * 17, StartClockMs: -1,
 		})
 		if err != nil {
@@ -191,7 +191,7 @@ func TestFirstBombCheckMatchesObserver(t *testing.T) {
 		// A session mutates its device, so each run gets its own copy.
 		dev := func() *android.Device { return android.SamplePopulation("u", rand.New(rand.NewSource(int64(i)))) }
 		opts := SessionOptions{Seed: int64(i) * 13, StartClockMs: -1}.withDefaults()
-		plain, err := RunUserSession(pirated, surf, dev(), opts)
+		plain, err := RunUserSession(context.Background(), pirated, surf, dev(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
