@@ -383,7 +383,10 @@ func stageProfile(ctx context.Context, a *artifacts) error {
 	if err != nil {
 		return fmt.Errorf("core: profile stage: %w", err)
 	}
-	a.Profile, a.FieldValues = fuzz.Profile(profVM, a.Prof.Domain, a.Prof.Events, watch, a.Prof.Seed)
+	a.Profile, a.FieldValues, err = fuzz.Profile(ctx, profVM, a.Prof.Domain, a.Prof.Events, watch, a.Prof.Seed)
+	if err != nil {
+		return fmt.Errorf("core: profile stage: %w", err)
+	}
 	return nil
 }
 

@@ -438,6 +438,57 @@ func TestEngineCancelMidProfile(t *testing.T) {
 	}
 }
 
+// TestEngineCancelMidProfileStoresNoProfile: the profile VM polls ctx
+// between events, so a run cancelled while it profiles returns long
+// before the whole profile would finish, and stores no profile
+// artifact. A later run on the same engine and store then profiles
+// afresh and yields a fresh engine's bytes.
+func TestEngineCancelMidProfileStoresNoProfile(t *testing.T) {
+	pkg, _, _ := signedApp(t, appgen.Config{Name: "eng", Seed: 5, TargetLOC: 1800})
+	prof := ProfileConfig{Events: 5_000, Domain: 32, Seed: 7}
+	e := &Engine{Opts: Options{Seed: 3}, Prof: prof, Cache: artifact.NewStore(64 << 20)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var polls atomic.Int64
+	testHookBackgroundPoll = func() {
+		if polls.Add(1) == 1 {
+			cancel()
+		}
+	}
+	start := time.Now()
+	_, err := e.Run(ctx, pkg)
+	cancelled := time.Since(start)
+	testHookBackgroundPoll = nil
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "profile stage") {
+		t.Fatalf("err = %v, want context.Canceled from the profile stage", err)
+	}
+
+	later, err := e.Run(context.Background(), pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profileNs int64
+	for _, st := range later.Info.Stages {
+		if st.Stage == StageProfile {
+			if st.Cache != "miss" {
+				t.Errorf("later run's profile stage was a %q: the cancelled run stored a profile", st.Cache)
+			}
+			profileNs = st.WallNs
+		}
+	}
+	if cancelled.Nanoseconds() > profileNs/4 {
+		t.Errorf("cancelled run took %v, the whole profile %v: it did not stop between events",
+			cancelled, time.Duration(profileNs))
+	}
+	fresh, err := (&Engine{Opts: Options{Seed: 3}, Prof: prof}).Run(context.Background(), pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(later.Unsigned.Dex, fresh.Unsigned.Dex) {
+		t.Error("the run after a cancelled profile differs from a fresh engine's")
+	}
+}
+
 // TestEngineResultHitDecodesBuiltBytes: the result artifact keeps the
 // built bytes and records, not a dex file, so a hit decodes its file.
 // That file must encode to the built bytes, and mutating what the

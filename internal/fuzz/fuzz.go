@@ -17,6 +17,7 @@
 package fuzz
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 
@@ -322,21 +323,25 @@ func Run(v *vm.VM, fz Fuzzer, domain int64, opts Options) Result {
 // the given length with method counting on, returning the Traceview
 // profile and the observed value sets of the watched fields — the
 // inputs BombDroid's candidate selection and artificial-QC
-// construction need.
-func Profile(v *vm.VM, domain int64, events int, watch []string, seed int64) (map[string]int64, map[string][]dex.Value) {
+// construction need. ctx is polled between events; a cancelled run
+// returns ctx.Err() and no profile.
+func Profile(ctx context.Context, v *vm.VM, domain int64, events int, watch []string, seed int64) (map[string]int64, map[string][]dex.Value, error) {
 	vals := newWatchSet(watch)
-	ctx := &Context{Handlers: v.Handlers(), Domain: domain, Rng: rand.New(rand.NewSource(seed))}
+	fc := &Context{Handlers: v.Handlers(), Domain: domain, Rng: rand.New(rand.NewSource(seed))}
 	fz := NewDynodroid()
 	for _, init := range v.InitMethods() {
 		v.Invoke(init) // profiling tolerates failures
 	}
-	for i := 0; i < events && len(ctx.Handlers) > 0; i++ {
-		ev := fz.Next(ctx)
+	for i := 0; i < events && len(fc.Handlers) > 0; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		ev := fz.Next(fc)
 		v.Invoke(ev.Handler, dex.Int64(ev.A), dex.Int64(ev.B))
 		fz.Observe(ev, vals.observe(v), false)
 		v.AdvanceIdle(40)
 	}
-	return v.Profile(), vals.values()
+	return v.Profile(), vals.values(), nil
 }
 
 // watchSet records the distinct values each watched field has taken:

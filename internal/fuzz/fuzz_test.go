@@ -210,7 +210,10 @@ func TestRunMaxEvents(t *testing.T) {
 func TestProfileProducesCountsAndValues(t *testing.T) {
 	prot, _, _, app := buildProtected(t, 53)
 	v := emulatorVM(t, prot)
-	profile, fieldVals := fuzz.Profile(v, app.Config.ParamDomain, 2000, app.IntFieldRefs, 7)
+	profile, fieldVals, err := fuzz.Profile(context.Background(), v, app.Config.ParamDomain, 2000, app.IntFieldRefs, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(profile) == 0 {
 		t.Fatal("empty profile")
 	}
