@@ -1,19 +1,19 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls
-// out. Each benchmark reports the experiment's headline numbers as
-// custom metrics, so `go test -bench=. -benchmem` doubles as the
-// reproduction harness:
+// Benchmarks of the layers a profile needs: the Table 3 campaign
+// alone (VM dispatch and sim on warm prepared apps), the VM's invoke
+// loop in its quickened, reference and instrumented forms, the
+// protection engine cold and warm, the hot-method ablation, and the
+// report pipeline's queue and backoff. Each one fails if its built-in
+// check does, so `go test -run '^$' -bench . -benchtime 1x .` also
+// works as a smoke run.
 //
-//	BenchmarkTable3FirstTrigger  avg_sec=…  success_pct=…
-//
-// Scale is exp.Quick(); run cmd/report -scale full for paper-sized
-// workloads.
+// The paper's tables and figures come from cmd/report; the tests in
+// internal/exp pin their shapes. End-to-end numbers come from
+// cmd/benchrun.
 package bombdroid_test
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"bombdroid/internal/android"
@@ -27,40 +27,12 @@ import (
 	"bombdroid/internal/fuzz"
 	"bombdroid/internal/obs"
 	"bombdroid/internal/report"
-	"bombdroid/internal/symexec"
 	"bombdroid/internal/vm"
 )
 
-func BenchmarkTable1Statics(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table1(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		loc := 0
-		for _, r := range rows {
-			loc += r.AvgLOC
-		}
-		b.ReportMetric(float64(loc)/float64(len(rows)), "avg_loc")
-	}
-}
-
-func BenchmarkTable2Injection(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table2(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bombs := 0
-		for _, r := range rows {
-			bombs += r.Bombs
-		}
-		b.ReportMetric(float64(bombs)/float64(len(rows)), "avg_bombs")
-	}
-}
-
+// BenchmarkTable3FirstTrigger runs the Table 3 campaign on apps whose
+// preparation is already cached, so it measures VM dispatch and the
+// user-session loop, serial and on eight workers.
 func BenchmarkTable3FirstTrigger(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -68,13 +40,13 @@ func BenchmarkTable3FirstTrigger(b *testing.B) {
 			sc.Workers = workers
 			// Warm the Prepare cache so the benchmark measures campaign
 			// execution, not the one-time app-preparation pipeline.
-			if _, err := exp.Table3(sc); err != nil {
+			if _, err := exp.Table3(context.Background(), sc); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := exp.Table3(sc)
+				rows, err := exp.Table3(context.Background(), sc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -88,147 +60,6 @@ func BenchmarkTable3FirstTrigger(b *testing.B) {
 				b.ReportMetric(100*success/sessions, "success_pct")
 			}
 		})
-	}
-}
-
-func BenchmarkTable4Fuzzers(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table4(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var monkey, dyno float64
-		for _, r := range rows {
-			monkey += r.Monkey
-			dyno += r.Dynodroid
-		}
-		b.ReportMetric(monkey/float64(len(rows)), "monkey_pct")
-		b.ReportMetric(dyno/float64(len(rows)), "dynodroid_pct")
-	}
-}
-
-func BenchmarkTable5Overhead(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table5(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var oh, size float64
-		for _, r := range rows {
-			oh += r.OverheadPct
-			size += r.SizePct
-		}
-		b.ReportMetric(oh/float64(len(rows)), "overhead_pct")
-		b.ReportMetric(size/float64(len(rows)), "size_pct")
-	}
-}
-
-func BenchmarkFigure3Entropy(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		series, err := exp.Figure3(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			if s.Var == "App.posX" {
-				b.ReportMetric(float64(s.Unique), "posX_unique")
-			}
-			if s.Var == "App.dir" {
-				b.ReportMetric(float64(s.Unique), "dir_unique")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure4Strength(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure4(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var weak, strong int
-		for _, r := range rows {
-			weak += r.ExistWeak
-			strong += r.ExistStrong + r.ArtStrong
-		}
-		b.ReportMetric(float64(weak), "weak_total")
-		b.ReportMetric(float64(strong), "strong_total")
-	}
-}
-
-func BenchmarkFigure5DynodroidBombs(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		series, err := exp.Figure5(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var final float64
-		for _, s := range series {
-			final += s.FinalPct
-		}
-		b.ReportMetric(final/float64(len(series)), "final_triggered_pct")
-	}
-}
-
-func BenchmarkHumanAnalyst(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.HumanAnalystStudy(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pct float64
-		for _, r := range rows {
-			pct += r.Pct
-		}
-		b.ReportMetric(pct/float64(len(rows)), "triggered_pct")
-	}
-}
-
-func BenchmarkFalsePositives(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.FalsePositives(sc, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fp := 0
-		for _, r := range rows {
-			fp += r.Responses
-		}
-		b.ReportMetric(float64(fp), "false_positives")
-	}
-}
-
-func BenchmarkCodeSize(b *testing.B) {
-	sc := exp.Quick()
-	for i := 0; i < b.N; i++ {
-		_, avg, err := exp.CodeSize(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(avg, "avg_size_increase_pct")
-	}
-}
-
-func BenchmarkResilienceMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.ResilienceMatrix(7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defeats := 0
-		for _, r := range rows {
-			if r.Protection == "bombdroid" && r.Defeated {
-				defeats++
-			}
-		}
-		b.ReportMetric(float64(defeats), "bombdroid_defeats")
 	}
 }
 
@@ -251,23 +82,6 @@ func benchApp(b *testing.B) (*appgen.App, *apk.Package, *apk.KeyPair) {
 		b.Fatal(err)
 	}
 	return app, pkg, key
-}
-
-func BenchmarkInterpreter(b *testing.B) {
-	app, pkg, _ := benchApp(b)
-	v, err := vm.New(pkg, android.EmulatorLab(1)[0], vm.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	handlers := v.Handlers()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := handlers[rng.Intn(len(handlers))]
-		if _, err := v.Invoke(h, dex.Int64(rng.Int63n(app.Config.ParamDomain)), dex.Int64(rng.Int63n(app.Config.ParamDomain))); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkInvoke is the tight VM-dispatch loop: one handler invoked
@@ -296,10 +110,9 @@ func BenchmarkInvoke(b *testing.B) {
 }
 
 // BenchmarkInvokeRef is the same loop on the retained reference
-// interpreter (Options.Reference) — the before/after pair for the
-// quickening pass, and the denominator of the quickened-vs-reference
-// speedup recorded in BENCH_PR7.json. End-to-end interpreter numbers
-// come from cmd/benchrun (the protect and table3 workloads).
+// interpreter (Options.Reference): the before/after pair for the
+// quickening pass. End-to-end interpreter numbers come from
+// cmd/benchrun (the protect and table3 workloads).
 func BenchmarkInvokeRef(b *testing.B) {
 	app, pkg, _ := benchApp(b)
 	v, err := vm.New(pkg, android.EmulatorLab(1)[0], vm.Options{Seed: 1, Reference: true})
@@ -327,20 +140,9 @@ func BenchmarkInvokeRef(b *testing.B) {
 // counter and steps histogram, all buffered VM-locally and published
 // on FlushObs — no atomics anywhere on the Invoke path.
 // BenchmarkInvoke itself (obs off) must stay flat, because the off
-// path is a hoisted nil check per instruction.
-//
-// Denominator history, so nobody chases a ghost: PR3 measured obs at
-// 0.4% of a ~2.7µs dispatch loop. PR7's quickening nearly halved
-// that baseline, so the unchanged absolute obs cost read as 11%. PR8
-// removed the per-invoke atomics (buffered counter + histogram
-// accumulator), leaving only the per-instruction opcode-array
-// increment — about 1ns per executed instruction, which against the
-// ~1.6µs quickened loop reads as a 3–7% median depending on the run,
-// with ±9% run-to-run drift on the shared box (2.7% in the recorded
-// BENCH_PR8.json). That residual IS the instrumentation (you
-// cannot count every instruction for free); BENCH_PR8.json reports
-// the raw median delta and flags whether it sits inside the noise
-// band rather than pretending a fixed bar.
+// path is a hoisted nil check per instruction. The remaining cost is
+// about 1ns per executed instruction: the per-opcode increment is the
+// instrumentation itself.
 func BenchmarkInvokeObs(b *testing.B) {
 	app, pkg, _ := benchApp(b)
 	reg := obs.NewRegistry()
@@ -366,42 +168,6 @@ func BenchmarkInvokeObs(b *testing.B) {
 	v.FlushObs()
 	if reg.Counter("vm_invokes_total").Value() == 0 {
 		b.Fatal("obs bench recorded nothing")
-	}
-}
-
-func BenchmarkSymbolicExecution(b *testing.B) {
-	app, pkg, key := benchApp(b)
-	_ = app
-	built, err := (&core.Engine{Opts: core.Options{Seed: 3}}).Run(context.Background(), pkg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prot, err := apk.Sign(built.Unsigned, key)
-	if err != nil {
-		b.Fatal(err)
-	}
-	file, err := prot.DexFile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := symexec.Analyze(file, symexec.Options{Targets: []dex.API{dex.APIDecryptLoad}})
-		if len(sum.SolvedHits()) != 0 {
-			b.Fatal("G1 violated")
-		}
-	}
-}
-
-func BenchmarkDexCodec(b *testing.B) {
-	app, _, _ := benchApp(b)
-	data := dex.Encode(app.File)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dex.Decode(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

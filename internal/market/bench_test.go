@@ -89,15 +89,14 @@ func benchIngestHTTP(b *testing.B, traced bool) {
 	}
 }
 
-// BenchmarkMarketIngestHTTP is the untraced baseline. This is the
-// number the ISSUE acceptance bar (≥100k events/sec) reads.
+// BenchmarkMarketIngestHTTP is the untraced baseline.
 func BenchmarkMarketIngestHTTP(b *testing.B) { benchIngestHTTP(b, false) }
 
 // BenchmarkMarketIngestHTTPTraced is the same workload with every
 // batch traced. Its events/sec delta against the untraced run is the
-// trace overhead (acceptance: ≤ 3%; recorded in BENCH_PR8.json), and
-// its client-observed p99 is the generation→durable-ack distribution a
-// traced producer sees. cmd/benchrun measures ingest end to end.
+// trace overhead, and its client-observed p99 is the
+// generation→durable-ack distribution a traced producer sees.
+// cmd/benchrun measures ingest end to end.
 func BenchmarkMarketIngestHTTPTraced(b *testing.B) { benchIngestHTTP(b, true) }
 
 // BenchmarkTimeToVerdict measures the verdict-timeline read path: a
@@ -188,9 +187,7 @@ func seedStore(b *testing.B, dir string, n, ckptEvery int) {
 
 // benchRestart times Open against a pre-seeded store of restartEvents
 // records and reports milliseconds per restart, compared across the
-// full-replay and checkpointed variants (BENCH_PR6.json:
-// restart_replay_full_ms vs restart_replay_checkpoint_ms).
-// cmd/benchrun's ingest_relay workload measures restarts end to end
+// full-replay and checkpointed variants. cmd/benchrun's ingest_relay workload measures restarts end to end
 // (restart.* per-layer metrics).
 const restartEvents = 120_000
 

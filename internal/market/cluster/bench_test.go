@@ -47,10 +47,9 @@ func loadedRouter(b *testing.B, n int) *cluster.Router {
 }
 
 // BenchmarkClusterIngest measures routed ingest through a 3-node HTTP
-// cluster: batch partitioning, concurrent fan-out, per-node acks.
-// BENCH_PR9.json recorded its events/s metric as
-// cluster_events_per_sec and the router's fan-out histogram p99 as
-// router_fanout_p99_ms; the repository benchmark is cmd/benchrun.
+// cluster: batch partitioning, concurrent fan-out, per-node acks. It
+// reports events/s and the router's fan-out p99; the repository
+// benchmark is cmd/benchrun.
 func BenchmarkClusterIngest(b *testing.B) {
 	nodes := threeNodes(b)
 	rt := newRouter(b, nodes)

@@ -3,8 +3,8 @@
 # (the VM package first, then the whole tree), the quickened-vs-
 # reference differential step, the engine byte-identity, golden,
 # overlapped-analysis and cancellation tests at GOMAXPROCS 1, 2 and 4,
-# vet and short tests of the cmd/benchrun
-# module, and 20s fuzzes of the dex decoder, the quickened interpreter,
+# one iteration of each root benchmark, vet and short tests of the
+# cmd/benchrun module, and 20s fuzzes of the dex decoder, the quickened interpreter,
 # the apk archive reader, the similarity index, the Event JSON codec,
 # the report-body decoder and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate on top of it. The
@@ -47,10 +47,11 @@ echo "==> engine byte identity and goldens at -cpu 1,2,4"
 # Construct seals bomb payloads on GOMAXPROCS goroutines, and a cold
 # run analyses methods on a goroutine beside the profile VM; the
 # protected bytes must not depend on how many CPUs share that work, and
-# no goroutine may outlive a cancelled run. The core tests build fresh
-# engines each time, so one process runs all three counts. exp.Prepare
+# no goroutine may outlive a cancelled run, and a run cancelled while
+# it profiles stores no profile. The core tests build fresh engines
+# each time, so one process runs all three counts. exp.PrepareCtx
 # caches per process, so its golden test gets one process per count.
-go test -run '^(TestEngineGoldenDigests|TestEngineBytesIdenticalAcrossGOMAXPROCS|TestEngineWarmCacheByteIdentical|TestEngineConcurrentReseedsShareAnalysis|TestOverlappedAnalysisMatchesInline|TestEngineCancelMidProfile|TestEngineResultHitDecodesBuiltBytes)$' \
+go test -run '^(TestEngineGoldenDigests|TestEngineBytesIdenticalAcrossGOMAXPROCS|TestEngineWarmCacheByteIdentical|TestEngineConcurrentReseedsShareAnalysis|TestOverlappedAnalysisMatchesInline|TestEngineCancelMidProfile|TestEngineCancelMidProfileStoresNoProfile|TestEngineResultHitDecodesBuiltBytes)$' \
 	-cpu 1,2,4 -count=1 ./internal/core
 for cpu in 1 2 4; do
 	go test -run '^TestProtectedOutputGoldenDigests$' -cpu "$cpu" -count=1 ./internal/exp
@@ -58,6 +59,12 @@ done
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> root benchmarks, one iteration each"
+# Tier-1 only compiles them. One iteration runs each benchmark's own
+# checks: the warm engine must hit the cache, InvokeObs must record
+# invokes, and ReportIngestion must deliver every event exactly once.
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> benchmark module: go vet + go test -short (cmd/benchrun)"
 # cmd/benchrun is its own module, so ./... above never compiles it,
