@@ -64,11 +64,7 @@ func run(ctx context.Context, out io.Writer, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	fpHours := 10
-	if *scale == "quick" {
-		fpHours = 2
-	}
-	list := experiments(fpHours)
+	list := experiments()
 	selected, err := pick(list, *table, *figure, *extra)
 	if err != nil {
 		return err
@@ -116,9 +112,8 @@ type experiment struct {
 	run       func(ctx context.Context, sc exp.Scale) (string, error)
 }
 
-// experiments lists the report's sections in -all order. fpHours is
-// the virtual length of each false-positive run.
-func experiments(fpHours int) []experiment {
+// experiments lists the report's sections in -all order.
+func experiments() []experiment {
 	return []experiment{
 		{"table", "1", section(exp.Table1, exp.FormatTable1)},
 		{"table", "2", section(exp.Table2, exp.FormatTable2)},
@@ -128,9 +123,7 @@ func experiments(fpHours int) []experiment {
 		{"figure", "3", section(exp.Figure3, exp.FormatFigure3)},
 		{"figure", "4", section(exp.Figure4, exp.FormatFigure4)},
 		{"figure", "5", section(exp.Figure5, exp.FormatFigure5)},
-		{"extra", "fp", section(func(ctx context.Context, sc exp.Scale) ([]exp.FPResult, error) {
-			return exp.FalsePositives(ctx, sc, fpHours)
-		}, exp.FormatFPResults)},
+		{"extra", "fp", section(exp.FalsePositives, exp.FormatFPResults)},
 		{"extra", "size", func(ctx context.Context, sc exp.Scale) (string, error) {
 			rows, avg, err := exp.CodeSize(ctx, sc)
 			if err != nil {

@@ -66,11 +66,24 @@ type Unsigned struct {
 	Name string
 	Dex  []byte
 	Res  Resources
+
+	// shipping marks a build that goes on to be signed and packed; see
+	// ForShipping.
+	shipping bool
 }
 
 // Build assembles an unsigned package from a dex file and resources.
 func Build(name string, file *dex.File, res Resources) *Unsigned {
 	return &Unsigned{Name: name, Dex: dex.Encode(file), Res: res.Clone()}
+}
+
+// ForShipping wraps a protected build bound for shipping: the developer
+// signs it and packs the result. It takes ownership of dexBytes and
+// res. Sign of such a package starts deflating its content entries
+// beside the RSA signature, so Pack finds them ready; any other
+// Unsigned is deflated by Pack alone.
+func ForShipping(name string, dexBytes []byte, res Resources) *Unsigned {
+	return &Unsigned{Name: name, Dex: dexBytes, Res: res, shipping: true}
 }
 
 // Package is an installed-form APK: content, manifest, certificate.
@@ -80,6 +93,10 @@ type Package struct {
 	Res      Resources
 	Manifest Manifest
 	Cert     *Certificate
+
+	// form is the archive form Sign started for a shipping build, nil
+	// otherwise. Clone does not carry it.
+	form *archiveForm
 }
 
 // DigestHex returns the hex SHA-256 of content.
@@ -104,13 +121,21 @@ var (
 	ErrEmptyPackage = errors.New("apk: empty package")
 )
 
-// Sign produces the final package under the developer's key.
+// Sign produces the final package under the developer's key. For a
+// ForShipping build it first snapshots the content entries and starts
+// deflating them (startArchiveForm), so the deflate runs beside the
+// digests and the RSA signature; the Package carries that pending
+// form to Pack. Any other build starts no goroutine.
 func Sign(u *Unsigned, key *KeyPair) (*Package, error) {
 	if key == nil || key.priv == nil {
 		return nil, ErrNilKey
 	}
 	if u == nil || u.Name == "" || len(u.Dex) == 0 {
 		return nil, ErrEmptyPackage
+	}
+	var form *archiveForm
+	if u.shipping {
+		form = startArchiveForm(u)
 	}
 	man := buildManifest(u)
 	cert, err := key.certificate(man.canonical())
@@ -123,6 +148,7 @@ func Sign(u *Unsigned, key *KeyPair) (*Package, error) {
 		Res:      u.Res.Clone(),
 		Manifest: man,
 		Cert:     cert,
+		form:     form,
 	}, nil
 }
 

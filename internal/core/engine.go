@@ -210,7 +210,7 @@ type resultArtifact struct {
 // mutate, except the result's dex file, which the copy leaves nil:
 // the unsigned package and the result's slices.
 func copyBuild(u *apk.Unsigned, r *Result) (*apk.Unsigned, *Result) {
-	cu := &apk.Unsigned{Name: u.Name, Dex: append([]byte(nil), u.Dex...), Res: u.Res.Clone()}
+	cu := apk.ForShipping(u.Name, append([]byte(nil), u.Dex...), u.Res.Clone())
 	cr := *r
 	cr.File = nil
 	cr.Bombs = append([]Bomb(nil), r.Bombs...)

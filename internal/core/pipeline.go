@@ -39,6 +39,6 @@ func stageRepack(ctx context.Context, a *artifacts) error {
 	if a.outDex == nil {
 		a.outDex = dex.Encode(a.Out)
 	}
-	a.Unsigned = &apk.Unsigned{Name: a.In.Name, Dex: a.outDex, Res: newRes}
+	a.Unsigned = apk.ForShipping(a.In.Name, a.outDex, newRes)
 	return nil
 }

@@ -17,6 +17,7 @@ func tiny() Scale {
 		OverheadRuns:    1,
 		ProfileEvents:   1_200,
 		AnalystHours:    1,
+		FPHours:         1,
 		Apps:            []string{"AndroFish", "Hash Droid"},
 	}
 }
@@ -242,7 +243,7 @@ func TestFigure5PlateausLow(t *testing.T) {
 }
 
 func TestFalsePositivesZero(t *testing.T) {
-	rows, err := FalsePositives(context.Background(), tiny(), 1)
+	rows, err := FalsePositives(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,11 @@ type FPResult struct {
 }
 
 // FalsePositives runs Dynodroid on the *genuine* protected app for
-// hours; any response is a false positive (the paper reports zero).
-func FalsePositives(ctx context.Context, sc Scale, hours int) ([]FPResult, error) {
-	return mapApps(ctx, sc, func(_ Scale, name string, p *PreparedApp) (FPResult, error) {
+// sc.FPHours virtual hours; any response is a false positive (the
+// paper reports zero).
+func FalsePositives(ctx context.Context, sc Scale) ([]FPResult, error) {
+	return mapApps(ctx, sc, func(sc Scale, name string, p *PreparedApp) (FPResult, error) {
+		hours := sc.FPHours
 		v, err := vm.New(p.Protected, android.EmulatorLab(2)[1], vm.Options{Seed: seedFor(name) + 21})
 		if err != nil {
 			return FPResult{}, err

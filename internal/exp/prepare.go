@@ -35,6 +35,8 @@ type Scale struct {
 	ProfileEvents int // paper: 10,000
 	// §8.3.2.
 	AnalystHours int // paper: 20
+	// §8.4: the virtual length of each false-positive run.
+	FPHours int // paper: 10
 	// Apps to evaluate (defaults to the paper's eight).
 	Apps []string
 	// Workers bounds evaluation parallelism: apps across tables,
@@ -64,6 +66,7 @@ func Full() Scale {
 		OverheadRuns:    5,
 		ProfileEvents:   10_000,
 		AnalystHours:    20,
+		FPHours:         10,
 		Apps:            appgen.NamedApps,
 	}
 }
@@ -79,6 +82,7 @@ func Quick() Scale {
 		OverheadRuns:    2,
 		ProfileEvents:   2_500,
 		AnalystHours:    2,
+		FPHours:         2,
 		Apps:            []string{"AndroFish", "SWJournal", "Hash Droid"},
 	}
 }
@@ -104,6 +108,9 @@ func (s Scale) withDefaults() Scale {
 	}
 	if s.AnalystHours == 0 {
 		s.AnalystHours = 2
+	}
+	if s.FPHours == 0 {
+		s.FPHours = 2
 	}
 	if len(s.Apps) == 0 {
 		s.Apps = appgen.NamedApps

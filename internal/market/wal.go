@@ -216,9 +216,9 @@ func openWAL(fsys marketfs.FS, dir string, segBytes int64, fsync bool, start wal
 
 // replaySegment streams one segment's records into replay, starting
 // at byte offset startOff. A bad record (short header, absurd length,
-// short payload, CRC mismatch) in the last segment is the torn tail:
-// the file is truncated back to the last good record. Anywhere else
-// it is corruption and an error.
+// a length past the end of the file, CRC mismatch) in the last segment
+// is the torn tail: the file is truncated back to the last good
+// record. Anywhere else it is corruption and an error.
 func replaySegment(fsys marketfs.FS, name string, isLast bool, startOff int64, replay func([]byte) error) (ReplayStats, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
@@ -236,7 +236,9 @@ func replaySegment(fsys marketfs.FS, name string, isLast bool, startOff int64, r
 	}
 
 	var stats ReplayStats
-	r := bufio.NewReaderSize(f, 1<<20)
+	// A read buffer past the bytes left would never fill; bufio
+	// rounds a size under 16 up.
+	r := bufio.NewReaderSize(f, int(min(max(fileSize-startOff, 0), 1<<20)))
 	off := startOff // offset of the record being read
 	var hdr [walHeaderLen]byte
 	buf := make([]byte, 4096)
@@ -254,7 +256,9 @@ func replaySegment(fsys marketfs.FS, name string, isLast bool, startOff int64, r
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxWALRecord {
+		// A length past the bytes left is a torn record: refuse it
+		// before sizing a buffer from it.
+		if length == 0 || length > maxWALRecord || int64(length) > fileSize-off-walHeaderLen {
 			return tornTail(f, name, isLast, off, fileSize, stats)
 		}
 		if int(length) > cap(buf) {

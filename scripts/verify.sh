@@ -3,10 +3,13 @@
 # (the VM package first, then the whole tree), the quickened-vs-
 # reference differential step, the engine byte-identity, golden,
 # overlapped-analysis and cancellation tests at GOMAXPROCS 1, 2 and 4,
-# one iteration of each root benchmark, vet and short tests of the
-# cmd/benchrun module, and 20s fuzzes of the dex decoder, the quickened interpreter,
-# the apk archive reader, the similarity index, the Event JSON codec,
-# the report-body decoder and the checkpoint decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
+# the apk tests (with the Pack-vs-archive/zip differential) at
+# GOMAXPROCS 1, 2 and 4, one iteration of each root benchmark and of the apk
+# Sign+Pack benchmark, vet and short tests of the cmd/benchrun module,
+# and 20s fuzzes of the dex decoder, the quickened interpreter, the apk
+# archive reader and writer, the similarity index, the Event JSON
+# codec, the report-body decoder, the checkpoint decoder and the WAL
+# segment framing. Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate on top of it. The
 # end-to-end CLI and market proofs (batch protection and cancellation,
 # daemon SIGTERM/SIGKILL recovery, timelines, fingerprints, the
@@ -57,6 +60,15 @@ for cpu in 1 2 4; do
 	go test -run '^TestProtectedOutputGoldenDigests$' -cpu "$cpu" -count=1 ./internal/exp
 done
 
+echo "==> apk tests, with the Pack vs archive/zip differential, at -cpu 1,2,4"
+# Sign of an engine build deflates its content entries on two
+# goroutines beside the signature, and Pack joins them. Pack's bytes
+# must equal those of its old archive/zip Create body, kept in the test
+# file as the oracle, for protected corpus apps (shipping and unmarked)
+# and for edits made after Sign, however many CPUs share the work; and
+# no goroutine may outlive its deflate.
+go test -cpu 1,2,4 -count=1 ./internal/apk
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -65,6 +77,12 @@ echo "==> root benchmarks, one iteration each"
 # checks: the warm engine must hit the cache, InvokeObs must record
 # invokes, and ReportIngestion must deliver every event exactly once.
 go test -run '^$' -bench . -benchtime 1x .
+
+echo "==> apk Sign+Pack benchmark, one iteration"
+# Sign then Pack of a protected app, shipping and unmarked: the apk
+# layer of a protect op without benchrun. One iteration checks that it
+# builds and that the protected dex is still protected-size.
+go test -run '^$' -bench '^BenchmarkSignPack$' -benchtime 1x ./internal/apk
 
 echo "==> benchmark module: go vet + go test -short (cmd/benchrun)"
 # cmd/benchrun is its own module, so ./... above never compiles it,
@@ -88,6 +106,14 @@ echo "==> fuzz: apk archive reader, unpack/pack fixed point (20s)"
 # unpack and pack to themselves; no entry decompresses past its cap.
 # Each new input is a whole zip, so minimizing one caps at 2s.
 go test -run '^$' -fuzz FuzzUnpack -fuzztime 20s -fuzzminimizetime 2s ./internal/apk
+
+echo "==> fuzz: Pack vs archive/zip over random content (20s)"
+# Empty, nil, incompressible and repetitive dex bytes, non-ASCII
+# strings and authors, a nil certificate, shipping and unmarked
+# packages, edits after Sign: Pack must write archive/zip's bytes.
+# Minimizing a new input of six arguments with a many-KB dex would
+# otherwise take the whole budget, so each minimization caps at 2s.
+go test -run '^$' -fuzz FuzzPack -fuzztime 20s -fuzzminimizetime 2s ./internal/apk
 
 echo "==> fuzz: similarity index vs a string merge-join oracle (20s)"
 # Random Set/replace/Delete/Rank sequences against the interned-id
@@ -113,5 +139,11 @@ echo "==> fuzz: checkpoint decoder, decode/re-encode round trip (20s)"
 # byte range, which for a several-hundred-byte checkpoint would eat the
 # whole budget, so each minimization is capped at 2s.
 go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 20s -fuzzminimizetime 2s ./internal/market
+
+echo "==> fuzz: WAL segment framing vs a reference parse (20s)"
+# Random segment bytes, replayed as the last segment and as a sealed
+# one: the records up to the first bad one, then a truncated torn tail
+# or an error; no declared length sizes an allocation past the file.
+go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 20s ./internal/market
 
 echo "verify: OK"
