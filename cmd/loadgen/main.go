@@ -381,10 +381,10 @@ func runCampaign(ctx context.Context, out io.Writer, url, app string, sessions i
 	// minted at Submit, per-attempt annotations through retries and
 	// breaker holds, closed at the market's post-WAL-flush ack (the
 	// HTTP sink carries the trace id out and the server's timing header
-	// back). SampleN 1 = every report traced; a load test wants the
-	// full distribution, head sampling is for always-on fleets.
+	// back). Every report is traced: a load test wants the full
+	// distribution.
 	treg := obs.NewRegistry()
-	tracer := obs.NewTracer(treg, obs.TracerConfig{Seed: seed, SampleN: 1})
+	tracer := obs.NewTracer(treg, seed)
 	res, err := sim.RunChaos(ctx, p.Pirated, p.Surface, sim.ChaosOptions{
 		Sessions: sessions,
 		CapMs:    20 * 60_000,

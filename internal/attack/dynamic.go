@@ -150,39 +150,6 @@ func ForcedExecution(file *dex.File, res apk.Resources, seed int64) (ForcedExecu
 	return out, nil
 }
 
-// RevealDirect counts suspicious detection calls executed during a
-// forced run outside payload context — used to show naive bombs and
-// SSN leak under forcing while BombDroid does not.
-func RevealDirect(file *dex.File, res apk.Resources, seed int64) (int, error) {
-	v, err := lab(file, res, seed)
-	if err != nil {
-		return 0, err
-	}
-	direct := 0
-	v.Observe(func(call vm.APICall) {
-		if call.InPayload == "" && call.API == dex.APIGetPublicKey {
-			direct++
-		}
-	})
-	rng := rand.New(rand.NewSource(seed))
-	for _, init := range v.InitMethods() {
-		v.Invoke(init)
-	}
-	for _, m := range file.Methods() {
-		if m.IsSynthetic() {
-			continue
-		}
-		// Force every conditional to both sides across two runs of the
-		// method with junk args.
-		args := make([]dex.Value, m.NumArgs)
-		for i := range args {
-			args[i] = dex.Int64(rng.Int63n(1 << 20))
-		}
-		v.Invoke(m.FullName(), args...)
-	}
-	return direct, nil
-}
-
 // SliceExecutionResult reports the HARVESTER attack.
 type SliceExecutionResult struct {
 	Slices       int

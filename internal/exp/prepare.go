@@ -7,14 +7,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bombdroid/internal/android"
 	"bombdroid/internal/apk"
 	"bombdroid/internal/appgen"
 	"bombdroid/internal/artifact"
 	"bombdroid/internal/core"
 	"bombdroid/internal/obs"
 	"bombdroid/internal/sim"
-	"bombdroid/internal/vm"
 )
 
 // Scale trades fidelity for runtime. Full reproduces the paper's
@@ -150,10 +148,6 @@ var (
 	prepStore = artifact.NewStore(1 << 30)
 	prepRuns  atomic.Int64
 )
-
-// PrepareStore exposes the shared artifact store (read-only use:
-// stats for benchmarks and batch manifests).
-func PrepareStore() *artifact.Store { return prepStore }
 
 // genArtifact is the tier-1 cached artifact: the generated, signed,
 // unprotected app. Its key covers only the app name — generation is
@@ -314,7 +308,7 @@ func prepare(ctx context.Context, g *genArtifact, profileEvents int) (*PreparedA
 
 	// The developer signing step — the half the paper's workflow ships
 	// back to the developer.
-	protected, err := apk.Sign(prot.Unsigned, g.devKey)
+	protected, err := signUnpacked(prot.Unsigned, g.devKey)
 	if err != nil {
 		return nil, err
 	}
@@ -346,11 +340,19 @@ func protectSigned(ctx context.Context, eng *core.Engine, pkg *apk.Package, devK
 	if err != nil {
 		return nil, nil, err
 	}
-	signed, err := apk.Sign(p.Unsigned, devKey)
+	signed, err := signUnpacked(p.Unsigned, devKey)
 	if err != nil {
 		return nil, nil, err
 	}
 	return signed, p.Result, nil
+}
+
+// signUnpacked signs a protected build with the developer's key.
+// Experiments run the signed package but never pack it, so it signs an
+// unmarked copy: Sign of the engine's shipping build would start
+// deflating archive entries for a Pack that never comes.
+func signUnpacked(u *apk.Unsigned, key *apk.KeyPair) (*apk.Package, error) {
+	return apk.Sign(&apk.Unsigned{Name: u.Name, Dex: u.Dex, Res: u.Res}, key)
 }
 
 // RealBlobs returns the blob indices of real (non-bogus) bombs.
@@ -360,12 +362,6 @@ func (p *PreparedApp) RealBlobs() map[int64]bool {
 		out[b.BlobIdx] = true
 	}
 	return out
-}
-
-// InstallPirated boots the pirated app on a device without signature
-// checks (attacker lab) or with them (user devices use vm.New).
-func (p *PreparedApp) InstallPirated(dev *android.Device, seed int64) (*vm.VM, error) {
-	return vm.New(p.Pirated, dev, vm.Options{Seed: seed})
 }
 
 // countReal counts how many of the given blob indices are real bombs.

@@ -118,17 +118,9 @@ func Table3(ctx context.Context, sc Scale) ([]Table3Row, error) {
 		if err != nil {
 			return Table3Row{}, err
 		}
-		minMs := cr.MinMs
-		if cr.Successes == 0 || minMs >= sim.NoFirstTrigger {
-			// sim.Run already normalizes MinMs on its zero-success
-			// path; this guard keeps the 1<<62 accumulator sentinel out
-			// of MinSec even if a future aggregation path skips the
-			// reset.
-			minMs = 0
-		}
 		return Table3Row{
 			App:      name,
-			MinSec:   float64(minMs) / 1000,
+			MinSec:   float64(cr.MinMs) / 1000,
 			MaxSec:   float64(cr.MaxMs) / 1000,
 			AvgSec:   float64(cr.AvgMs) / 1000,
 			Success:  cr.Successes,

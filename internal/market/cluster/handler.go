@@ -68,23 +68,7 @@ func NewHandler(r *Router) http.Handler {
 		}
 		ack, err := r.PostTracedCtx(req.Context(), evs, traceID)
 		if err != nil {
-			switch {
-			case errors.Is(err, market.ErrNotOwner):
-				// A member rejected its share: the routing table and the
-				// node's pinned range disagree. Retrying through this
-				// router cannot help until an operator fixes membership.
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			case errors.Is(err, market.ErrBackpressure):
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, err.Error(), http.StatusTooManyRequests)
-			case errors.Is(err, market.ErrDegraded):
-				w.Header().Set("Retry-After", "2")
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			case errors.Is(err, market.ErrBatchTooLarge), errors.Is(err, market.ErrEventTooLarge):
-				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			default:
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
+			writeRoutedError(w, err)
 			return
 		}
 		if traceID != "" {
@@ -124,18 +108,7 @@ func NewHandler(r *Router) http.Handler {
 		fp.App = req.PathValue("app")
 		ack, err := r.PutFingerprintCtx(req.Context(), fp)
 		if err != nil {
-			switch {
-			case errors.Is(err, market.ErrBackpressure):
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, err.Error(), http.StatusTooManyRequests)
-			case errors.Is(err, market.ErrDegraded):
-				w.Header().Set("Retry-After", "2")
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			case errors.Is(err, market.ErrFingerprintTooLarge):
-				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			default:
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
+			writeRoutedError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -213,4 +186,29 @@ func NewHandler(r *Router) http.Handler {
 	})
 	obs.RegisterMetricsHandlers(mux, r.Obs())
 	return mux
+}
+
+// writeRoutedError answers a failed routed write (a report batch or a
+// fingerprint) with the status its cause calls for.
+func writeRoutedError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, market.ErrNotOwner):
+		// A member rejected its share: the routing table and the node's
+		// pinned range disagree. Retrying through this router cannot
+		// help until an operator fixes membership, so it is a 502 even
+		// when another member's share of the same fan-out was only
+		// throttled.
+		http.Error(w, err.Error(), http.StatusBadGateway)
+	case errors.Is(err, market.ErrBackpressure):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
+	case errors.Is(err, market.ErrDegraded):
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.Is(err, market.ErrBatchTooLarge), errors.Is(err, market.ErrEventTooLarge),
+		errors.Is(err, market.ErrFingerprintTooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, err.Error(), http.StatusBadGateway)
+	}
 }

@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -450,5 +454,75 @@ func TestSimilarConcurrentWithFingerprintChurn(t *testing.T) {
 	}
 	if got := snap.Counters["market_similarity_candidates_total"]; got != rescored || got == 0 {
 		t.Errorf("market_similarity_candidates_total = %d, want Stats() %d > 0", got, rescored)
+	}
+}
+
+// realFingerprintRecord uploads one fingerprint through a store and
+// returns the tagged record the store wrote to its WAL.
+func realFingerprintRecord(tb testing.TB) []byte {
+	dir := tb.TempDir()
+	st, _, err := Open(Config{Dir: dir, Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := st.PutFingerprint(Fingerprint{App: "app.real", Digests: fpDigests("app.real", 3)}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "shard-000", segName(0)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payloads, _ := referenceFraming(seg)
+	for _, p := range payloads {
+		if len(p) > 0 && p[0] == fpRecordTag {
+			return p
+		}
+	}
+	tb.Fatalf("no fingerprint record among %d WAL records", len(payloads))
+	return nil
+}
+
+// FuzzDecodeFingerprint: a tag-prefixed WAL record either fails to
+// decode or decodes to a fingerprint whose encoding decodes back to
+// it. Nothing panics. A canonical fingerprint within the default
+// MaxFingerprintEntries round-trips exactly; its strings are valid
+// UTF-8, as every string a JSON decode hands the store is.
+func FuzzDecodeFingerprint(f *testing.F) {
+	f.Add(realFingerprintRecord(f)[1:])
+	f.Add([]byte(`{"app":"a","digests":null}`))
+	f.Add([]byte(`{"app":"a","digests":["d2","d1","d2",""]}`))
+	f.Add([]byte(`{"APP":"é\ud800","digests":[]}`))
+	f.Add([]byte("a\x00b\x00\xff\x00b"))
+	maxEntries := Config{}.withDefaults().MaxFingerprintEntries
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rec := append([]byte{fpRecordTag}, in...)
+		if fp, err := decodeFingerprint(rec); err == nil {
+			roundTrip(t, fp)
+			roundTrip(t, Fingerprint{App: fp.App, Digests: similarity.Canonical(fp.Digests)})
+		}
+		parts := strings.Split(strings.ToValidUTF8(string(in), "\uFFFD"), "\x00")
+		c := Fingerprint{App: parts[0], Digests: similarity.Canonical(parts[1:])}
+		if len(c.Digests) <= maxEntries {
+			roundTrip(t, c)
+		}
+	})
+}
+
+// roundTrip checks that fp's WAL record decodes to fp.
+func roundTrip(t *testing.T, fp Fingerprint) {
+	t.Helper()
+	rec, err := encodeFingerprint(&fp)
+	if err != nil {
+		t.Fatalf("encode %+v: %v", fp, err)
+	}
+	back, err := decodeFingerprint(rec)
+	if err != nil {
+		t.Fatalf("record %q of %+v does not decode: %v", rec, fp, err)
+	}
+	if !reflect.DeepEqual(back, fp) {
+		t.Fatalf("record %q decodes to %+v, want %+v", rec, back, fp)
 	}
 }

@@ -125,14 +125,6 @@ func (fa *Fault) Crashed() bool {
 	return fa.crashed
 }
 
-// OpCount reports how many mutating operations have run — the scale
-// for randomizing CrashAfter.
-func (fa *Fault) OpCount() int64 {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	return fa.ops
-}
-
 // Recover resolves the post-crash disk: for every directory an
 // rng-chosen prefix of its pending namespace ops has survived, and
 // for every surviving file its synced content plus an rng-chosen

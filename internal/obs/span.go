@@ -1,12 +1,11 @@
 package obs
 
 // Hierarchical spans: named, nested phases of the pipeline
-// (inject → encrypt → sign, or session → detonate → report), timed on
-// whatever clock the caller passes — virtual campaign milliseconds in
-// deterministic code, wall milliseconds in operator tooling.
+// (session → detonate, report, fuzz), timed on the virtual clock the
+// caller passes.
 //
 // Ending a span does two things: the duration lands in a per-path
-// histogram ("span_<path>_ms", deterministic when fed virtual time),
+// deterministic histogram ("span_<path>_ms"),
 // and the completed span is appended to the registry's bounded span
 // log (always volatile — completion order is scheduling-dependent
 // under parallel campaigns).
@@ -21,10 +20,9 @@ type SpanRecord struct {
 // Span is one open phase. Spans are single-goroutine values, like the
 // VMs and sessions they time.
 type Span struct {
-	reg      *Registry
-	path     string
-	startMs  int64
-	volatile bool
+	reg     *Registry
+	path    string
+	startMs int64
 }
 
 // spanLogCap bounds the span log; older completions are dropped
@@ -37,17 +35,9 @@ func (r *Registry) StartSpan(name string, nowMs int64) *Span {
 	return &Span{reg: r, path: name, startMs: nowMs}
 }
 
-// StartVolatileSpan opens a root span whose duration histogram is
-// registered Volatile — for spans timed on the wall clock (operator
-// tooling, the prepare pipeline) rather than virtual time.
-func (r *Registry) StartVolatileSpan(name string, nowMs int64) *Span {
-	return &Span{reg: r, path: name, startMs: nowMs, volatile: true}
-}
-
-// Child opens a nested span; its path is parent/name. Volatility is
-// inherited.
+// Child opens a nested span; its path is parent/name.
 func (s *Span) Child(name string, nowMs int64) *Span {
-	return &Span{reg: s.reg, path: s.path + "/" + name, startMs: nowMs, volatile: s.volatile}
+	return &Span{reg: s.reg, path: s.path + "/" + name, startMs: nowMs}
 }
 
 // Path returns the span's "/"-joined path.
@@ -60,11 +50,7 @@ func (s *Span) End(nowMs int64) {
 		return
 	}
 	dur := nowMs - s.startMs
-	var opts []Option
-	if s.volatile {
-		opts = append(opts, Volatile())
-	}
-	s.reg.Histogram("span_"+pathMetric(s.path)+"_ms", LatencyBucketsMs, opts...).Observe(dur)
+	s.reg.Histogram("span_"+pathMetric(s.path)+"_ms", LatencyBucketsMs).Observe(dur)
 	s.reg.recordSpan(SpanRecord{Path: s.path, StartMs: s.startMs, DurMs: dur})
 }
 

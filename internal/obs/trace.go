@@ -12,8 +12,8 @@ package obs
 // Determinism rules (the same contract the metrics layer keeps):
 //
 //   - Trace IDs are hashed from a seed and the event key, never drawn
-//     from an RNG or the wall clock, so the ID — and therefore the
-//     head-based sampling decision — is identical at any worker count.
+//     from an RNG or the wall clock, so the ID is identical at any
+//     worker count.
 //   - Everything recorded into non-volatile metrics is measured in
 //     virtual milliseconds (detonation time, queue wait, backoff).
 //     Wall-clock stamps (network round-trip, server flush time) land
@@ -117,15 +117,12 @@ type Attempt struct {
 }
 
 // TraceCtx is one in-flight report trace. The pipeline owns it from
-// mint to close; only sampled traces retain stamps and annotations
-// (head-based sampling — the decision is made at mint from the ID, so
-// it is identical on every run and at any worker count).
+// mint to close; it retains its stage stamps and attempt annotations.
 type TraceCtx struct {
 	ID         TraceID
 	DetonateMs int64 // virtual time of the detonation on-device
 	SubmitMs   int64 // virtual time the event entered the pipeline
 
-	sampled bool
 	// Set by the pipeline as the trace advances; -1 = not yet.
 	firstAttemptMs int64
 	backoffMs      int64 // total backoff charged across retries
@@ -136,23 +133,18 @@ type TraceCtx struct {
 	networkNs      int64 // device-side POST round-trip, wall ns
 }
 
-// Sampled reports whether this trace retains stamps and annotations
-// and is an exemplar candidate.
-func (tc *TraceCtx) Sampled() bool { return tc != nil && tc.sampled }
-
-// Stamp records a named stage at a virtual-time point. Retained only
-// on sampled traces; always safe to call. The stage log is bounded
-// like the attempt log — a breaker flapping for hours must not grow
-// an unbounded stamp list on a sampled trace.
+// Stamp records a named stage at a virtual-time point; always safe to
+// call. The stage log is bounded like the attempt log — a breaker
+// flapping for hours must not grow an unbounded stamp list.
 func (tc *TraceCtx) Stamp(name string, atMs int64) {
-	if tc == nil || !tc.sampled || len(tc.stages) >= maxAttemptLog {
+	if tc == nil || len(tc.stages) >= maxAttemptLog {
 		return
 	}
 	tc.stages = append(tc.stages, StageStamp{Name: name, AtMs: atMs})
 }
 
 // Attempt records one delivery attempt. The first attempt also pins
-// the queue-wait boundary (tracked on every trace, sampled or not).
+// the queue-wait boundary.
 func (tc *TraceCtx) Attempt(atMs int64, outcome string, backoffMs int64) {
 	if tc == nil {
 		return
@@ -162,7 +154,7 @@ func (tc *TraceCtx) Attempt(atMs int64, outcome string, backoffMs int64) {
 		tc.firstAttemptMs = atMs
 	}
 	tc.backoffMs += backoffMs
-	if !tc.sampled || len(tc.attemptLog) >= maxAttemptLog {
+	if len(tc.attemptLog) >= maxAttemptLog {
 		return
 	}
 	tc.attemptLog = append(tc.attemptLog, Attempt{
@@ -186,7 +178,7 @@ func (tc *TraceCtx) StampNetworkNs(ns int64) {
 	}
 }
 
-// maxAttemptLog bounds a sampled trace's attempt annotations; a
+// maxAttemptLog bounds a trace's attempt annotations; a
 // pipeline configured for hundreds of attempts must not grow an
 // unbounded log per stuck event.
 const maxAttemptLog = 64
@@ -206,30 +198,9 @@ type Exemplar struct {
 	AttemptLog  []Attempt    `json:"attempt_log,omitempty"`
 }
 
-// TracerConfig tunes a Tracer; zero fields take the noted defaults.
-type TracerConfig struct {
-	Seed        int64 // trace-ID hash seed (IDs and sampling are per-seed deterministic)
-	SampleN     int   // head-based sampling: 1-in-N traces keep stamps (default 16, 1 = all)
-	ExemplarCap int   // slowest closed traces retained (default 32)
-	WindowMs    int64 // sliding-window histogram width, virtual ms (default 1h)
-	Windows     int   // windows retained (default 48)
-}
-
-func (c TracerConfig) withDefaults() TracerConfig {
-	if c.SampleN == 0 {
-		c.SampleN = 16
-	}
-	if c.ExemplarCap == 0 {
-		c.ExemplarCap = 32
-	}
-	if c.WindowMs == 0 {
-		c.WindowMs = 3_600_000
-	}
-	if c.Windows == 0 {
-		c.Windows = 48
-	}
-	return c
-}
+// exemplarCap is how many of the slowest closed traces a Tracer
+// retains.
+const exemplarCap = 32
 
 // Tracer mints and closes report traces, recording closed-trace
 // latency breakdowns into the registry:
@@ -239,51 +210,43 @@ func (c TracerConfig) withDefaults() TracerConfig {
 //	trace_backoff_ms     total retry backoff charged (virtual)
 //	trace_network_us     POST round-trips, wall (Volatile)
 //	trace_server_us      market receive → post-flush ack, wall (Volatile)
-//	traces_closed_total / traces_aborted_total / traces_sampled_total
+//	traces_closed_total / traces_aborted_total
 //
-// plus a sliding-window view of trace_e2e_ms (Windows()) and bounded
-// slowest-N exemplar retention (Exemplars()).
+// plus bounded slowest-N exemplar retention (Exemplars()).
 type Tracer struct {
-	cfg TracerConfig
-	reg *Registry
+	seed int64
 
 	cClosed  *Counter
 	cAborted *Counter
-	cSampled *Counter
 	hE2E     *Histogram
 	hQueue   *Histogram
 	hBackoff *Histogram
 	hNetUs   *Histogram
 	hSrvUs   *Histogram
-	wE2E     *WindowedHistogram
 
 	mu        sync.Mutex
 	exemplars []Exemplar // sorted slowest-first by (E2EMs desc, ID asc)
 }
 
-// NewTracer builds a tracer over reg (nil reg = detached metrics, the
-// tracer still works for exemplars and windows).
-func NewTracer(reg *Registry, cfg TracerConfig) *Tracer {
-	cfg = cfg.withDefaults()
+// NewTracer builds a tracer over reg whose trace IDs are hashed with
+// seed (nil reg = detached metrics, the tracer still works for
+// exemplars).
+func NewTracer(reg *Registry, seed int64) *Tracer {
 	wallBuckets := ExpBuckets(50, 4, 12) // 50µs … ~800ms in µs
 	return &Tracer{
-		cfg:      cfg,
-		reg:      reg,
+		seed:     seed,
 		cClosed:  reg.Counter("traces_closed_total"),
 		cAborted: reg.Counter("traces_aborted_total"),
-		cSampled: reg.Counter("traces_sampled_total"),
 		hE2E:     reg.Histogram("trace_e2e_ms", LatencyBucketsMs),
 		hQueue:   reg.Histogram("trace_queue_wait_ms", LatencyBucketsMs),
 		hBackoff: reg.Histogram("trace_backoff_ms", LatencyBucketsMs),
 		hNetUs:   reg.Histogram("trace_network_us", wallBuckets, Volatile()),
 		hSrvUs:   reg.Histogram("trace_server_us", wallBuckets, Volatile()),
-		wE2E:     NewWindowedHistogram(LatencyBucketsMs, cfg.WindowMs, cfg.Windows),
 	}
 }
 
 // Mint opens a trace for the event with the given key: ID hashed from
-// (seed, key), detonation stamp detonateMs, pipeline entry nowMs. The
-// sampling decision is head-based — taken here, from the ID alone.
+// (seed, key), detonation stamp detonateMs, pipeline entry nowMs.
 // Nil-safe: a nil tracer returns a nil ctx, and every TraceCtx method
 // accepts one.
 func (t *Tracer) Mint(key string, detonateMs, nowMs int64) *TraceCtx {
@@ -291,31 +254,38 @@ func (t *Tracer) Mint(key string, detonateMs, nowMs int64) *TraceCtx {
 		return nil
 	}
 	id := TraceID{
-		fnv64a(fnvOffset64^uint64(t.cfg.Seed), key),
-		fnv64a(fnvOffset64+uint64(t.cfg.Seed)*fnvPrime64+1, key),
+		fnv64a(fnvOffset64^uint64(t.seed), key),
+		fnv64a(fnvOffset64+uint64(t.seed)*fnvPrime64+1, key),
 	}
-	tc := &TraceCtx{
+	return &TraceCtx{
 		ID:             id,
 		DetonateMs:     detonateMs,
 		SubmitMs:       nowMs,
 		firstAttemptMs: -1,
-		sampled:        t.cfg.SampleN <= 1 || id[1]%uint64(t.cfg.SampleN) == 0,
+		stages:         []StageStamp{{Name: "submit", AtMs: nowMs}},
 	}
-	if tc.sampled {
-		t.cSampled.Inc()
-		tc.stages = append(tc.stages, StageStamp{Name: "submit", AtMs: nowMs})
-	}
-	return tc
 }
 
 // Close finishes a delivered trace at virtual time nowMs, recording
-// the latency breakdown and retaining the trace as an exemplar when
-// sampled. Safe on nil tracer or ctx.
+// the latency breakdown and offering the trace as an exemplar. Safe
+// on nil tracer or ctx.
 func (t *Tracer) Close(tc *TraceCtx, nowMs int64) {
 	if t == nil || tc == nil {
 		return
 	}
-	t.finish(tc, nowMs, "delivered")
+	t.cClosed.Inc()
+	t.hE2E.Observe(nowMs - tc.DetonateMs)
+	if tc.firstAttemptMs >= 0 {
+		t.hQueue.Observe(tc.firstAttemptMs - tc.SubmitMs)
+	}
+	t.hBackoff.Observe(tc.backoffMs)
+	if tc.networkNs > 0 {
+		t.hNetUs.Observe(tc.networkNs / 1_000)
+	}
+	if tc.serverNs > 0 {
+		t.hSrvUs.Observe(tc.serverNs / 1_000)
+	}
+	t.exemplar(tc, nowMs, "delivered")
 }
 
 // Abort finishes a trace that will never be delivered (dead-lettered,
@@ -329,31 +299,8 @@ func (t *Tracer) Abort(tc *TraceCtx, nowMs int64, reason string) {
 	t.exemplar(tc, nowMs, reason)
 }
 
-func (t *Tracer) finish(tc *TraceCtx, nowMs int64, outcome string) {
-	t.cClosed.Inc()
-	e2e := nowMs - tc.DetonateMs
-	t.hE2E.Observe(e2e)
-	t.wE2E.Observe(e2e, nowMs)
-	if tc.firstAttemptMs >= 0 {
-		t.hQueue.Observe(tc.firstAttemptMs - tc.SubmitMs)
-	}
-	t.hBackoff.Observe(tc.backoffMs)
-	if tc.networkNs > 0 {
-		t.hNetUs.Observe(tc.networkNs / 1_000)
-	}
-	if tc.serverNs > 0 {
-		t.hSrvUs.Observe(tc.serverNs / 1_000)
-	}
-	if tc.sampled {
-		t.exemplar(tc, nowMs, outcome)
-	}
-}
-
 // exemplar offers a finished trace to the slowest-N retention set.
 func (t *Tracer) exemplar(tc *TraceCtx, nowMs int64, outcome string) {
-	if !tc.sampled {
-		return
-	}
 	ex := Exemplar{
 		ID:          tc.ID,
 		E2EMs:       nowMs - tc.DetonateMs,
@@ -378,14 +325,14 @@ func (t *Tracer) exemplar(tc *TraceCtx, nowMs int64, outcome string) {
 		}
 		return exemplarIDLess(ex.ID, e.ID)
 	})
-	if i >= t.cfg.ExemplarCap {
+	if i >= exemplarCap {
 		return
 	}
 	t.exemplars = append(t.exemplars, Exemplar{})
 	copy(t.exemplars[i+1:], t.exemplars[i:])
 	t.exemplars[i] = ex
-	if len(t.exemplars) > t.cfg.ExemplarCap {
-		t.exemplars = t.exemplars[:t.cfg.ExemplarCap]
+	if len(t.exemplars) > exemplarCap {
+		t.exemplars = t.exemplars[:exemplarCap]
 	}
 }
 
@@ -420,180 +367,6 @@ func (t *Tracer) E2E() *Histogram {
 		return nil
 	}
 	return t.hE2E
-}
-
-// Windows exposes the sliding-window view of trace_e2e_ms.
-func (t *Tracer) Windows() []WindowSnapshot {
-	if t == nil {
-		return nil
-	}
-	return t.wE2E.Windows()
-}
-
-// WindowSnapshot is one retained window of a WindowedHistogram.
-type WindowSnapshot struct {
-	// Index is the absolute window number: observations with
-	// atMs in [Index*WidthMs, (Index+1)*WidthMs) land here.
-	Index   int64             `json:"index"`
-	StartMs int64             `json:"start_ms"`
-	Hist    HistogramSnapshot `json:"hist"`
-}
-
-// WindowedHistogram buckets observations into fixed-width time
-// windows and retains the most recent `keep` of them — the data shape
-// behind "what does the tail look like *lately*", which a cumulative
-// histogram can't answer. Windows are keyed by absolute index
-// (atMs / widthMs), so two tracers fed the same observations retain
-// identical windows regardless of arrival order, as long as every
-// observation falls within the retained horizon; stragglers older
-// than the horizon are dropped and counted.
-type WindowedHistogram struct {
-	bounds  []int64
-	widthMs int64
-	keep    int
-
-	mu      sync.Mutex
-	windows map[int64]*Histogram
-	maxIdx  int64
-	started bool
-	dropped int64
-}
-
-// NewWindowedHistogram builds a windowed histogram with the given
-// bucket bounds, window width, and retention count.
-func NewWindowedHistogram(bounds []int64, widthMs int64, keep int) *WindowedHistogram {
-	if widthMs <= 0 {
-		widthMs = 3_600_000
-	}
-	if keep <= 0 {
-		keep = 48
-	}
-	return &WindowedHistogram{
-		bounds:  append([]int64(nil), bounds...),
-		widthMs: widthMs,
-		keep:    keep,
-		windows: make(map[int64]*Histogram),
-	}
-}
-
-// Observe records v into the window containing atMs, evicting windows
-// that fall out of the retention horizon.
-func (w *WindowedHistogram) Observe(v, atMs int64) {
-	idx := atMs / w.widthMs
-	if atMs < 0 {
-		idx-- // floor division for negative virtual times
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.started || idx > w.maxIdx {
-		w.maxIdx = idx
-		w.started = true
-		for old := range w.windows {
-			if old <= w.maxIdx-int64(w.keep) {
-				delete(w.windows, old)
-			}
-		}
-	}
-	if idx <= w.maxIdx-int64(w.keep) {
-		w.dropped++
-		return
-	}
-	h := w.windows[idx]
-	if h == nil {
-		h = NewHistogram(w.bounds)
-		w.windows[idx] = h
-	}
-	h.Observe(v)
-}
-
-// Windows returns the retained windows, oldest first.
-func (w *WindowedHistogram) Windows() []WindowSnapshot {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]WindowSnapshot, 0, len(w.windows))
-	for idx, h := range w.windows {
-		out = append(out, WindowSnapshot{Index: idx, StartMs: idx * w.widthMs, Hist: h.snapshot()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// Dropped returns how many observations fell behind the retention
-// horizon (late stragglers a bounded window cannot hold).
-func (w *WindowedHistogram) Dropped() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dropped
-}
-
-// MergeInto folds this windowed histogram into dst, window by
-// absolute index — the windowed counterpart of Registry.MergeInto,
-// used when per-node or per-campaign tracers are aggregated into one
-// fleet view. Windows with the same index add bucket-wise; the merged
-// horizon advances to the newer of the two maxima, and source windows
-// (or whole-window contents already evicted on either side) that fall
-// behind it are folded into dst's dropped count, exactly as if their
-// observations had arrived late at dst. Source dropped counts carry
-// over too. Merging is commutative in the totals: any merge order
-// retains the same windows and the same retained+dropped accounting.
-// Panics if the bucket bounds or window widths differ — those are
-// configuration errors, not data.
-func (w *WindowedHistogram) MergeInto(dst *WindowedHistogram) {
-	if w == nil || dst == nil || w == dst {
-		return
-	}
-	// Lock ordering: the two locks are only ever taken together here,
-	// and callers merge disjoint sources into one dst, so ordering by
-	// role is safe.
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	if w.widthMs != dst.widthMs {
-		panic(fmt.Sprintf("obs: windowed histograms merged with mismatched widths (%dms vs %dms)", w.widthMs, dst.widthMs))
-	}
-	if len(w.bounds) != len(dst.bounds) {
-		panic("obs: windowed histograms merged with mismatched buckets")
-	}
-	for i := range w.bounds {
-		if w.bounds[i] != dst.bounds[i] {
-			panic("obs: windowed histograms merged with mismatched buckets")
-		}
-	}
-	dst.dropped += w.dropped
-	if !w.started {
-		return
-	}
-	if !dst.started || w.maxIdx > dst.maxIdx {
-		dst.maxIdx = w.maxIdx
-		dst.started = true
-		for old := range dst.windows {
-			if old <= dst.maxIdx-int64(dst.keep) {
-				h := dst.windows[old]
-				dst.dropped += h.count.Load()
-				delete(dst.windows, old)
-			}
-		}
-	}
-	for idx, sh := range w.windows {
-		if idx <= dst.maxIdx-int64(dst.keep) {
-			dst.dropped += sh.count.Load()
-			continue
-		}
-		dh := dst.windows[idx]
-		if dh == nil {
-			dh = NewHistogram(dst.bounds)
-			dst.windows[idx] = dh
-		}
-		if len(dh.counts) != len(sh.counts) {
-			panic("obs: windowed histograms merged with mismatched buckets")
-		}
-		for i := range sh.counts {
-			dh.counts[i].Add(sh.counts[i].Load())
-		}
-		dh.sum.Add(sh.sum.Load())
-		dh.count.Add(sh.count.Load())
-	}
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram

@@ -55,16 +55,13 @@ func FuzzParseTraceID(f *testing.F) {
 }
 
 func TestMintDeterministic(t *testing.T) {
-	a := NewTracer(nil, TracerConfig{Seed: 42})
-	b := NewTracer(nil, TracerConfig{Seed: 42})
-	c := NewTracer(nil, TracerConfig{Seed: 43})
+	a := NewTracer(nil, 42)
+	b := NewTracer(nil, 42)
+	c := NewTracer(nil, 43)
 	for _, key := range []string{"app\x1fbomb\x1fuser", "x", ""} {
 		ta, tb := a.Mint(key, 0, 0), b.Mint(key, 0, 0)
 		if ta.ID != tb.ID {
 			t.Fatalf("same seed+key minted different IDs: %v vs %v", ta.ID, tb.ID)
-		}
-		if ta.Sampled() != tb.Sampled() {
-			t.Fatalf("same seed+key made different sampling decisions")
 		}
 		if tc := c.Mint(key, 0, 0); tc.ID == ta.ID {
 			t.Fatalf("different seeds minted the same ID for %q", key)
@@ -72,25 +69,6 @@ func TestMintDeterministic(t *testing.T) {
 	}
 	if a.Mint("k1", 0, 0).ID == a.Mint("k2", 0, 0).ID {
 		t.Fatalf("different keys minted the same ID")
-	}
-}
-
-func TestSamplingRateRoughlyHeadBased(t *testing.T) {
-	tr := NewTracer(nil, TracerConfig{Seed: 7, SampleN: 16})
-	sampled := 0
-	const n = 4096
-	for i := 0; i < n; i++ {
-		if tr.Mint(string(rune('a'+i%26))+"-"+string(rune('0'+i%10))+"-"+itoa(i), 0, 0).Sampled() {
-			sampled++
-		}
-	}
-	// 1-in-16 with generous slack: the decision is a hash-bit test.
-	if sampled < n/64 || sampled > n/4 {
-		t.Fatalf("sampled %d of %d, want roughly 1 in 16", sampled, n)
-	}
-	all := NewTracer(nil, TracerConfig{Seed: 7, SampleN: 1})
-	if !all.Mint("k", 0, 0).Sampled() {
-		t.Fatalf("SampleN=1 must sample everything")
 	}
 }
 
@@ -110,7 +88,7 @@ func itoa(i int) string {
 
 func TestCloseRecordsBreakdown(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg, TracerConfig{Seed: 1, SampleN: 1})
+	tr := NewTracer(reg, 1)
 	tc := tr.Mint("app\x1fb0\x1fu0", 100, 150) // detonated at 100, submitted at 150
 	tc.Attempt(250, "err", 400)                // first attempt at 250, backoff 400
 	tc.Attempt(650, "ok", 0)
@@ -167,7 +145,7 @@ func TestCloseRecordsBreakdown(t *testing.T) {
 
 func TestAbortCountsSeparately(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg, TracerConfig{Seed: 1, SampleN: 1})
+	tr := NewTracer(reg, 1)
 	tc := tr.Mint("k", 0, 0)
 	tr.Abort(tc, 50, "dead-letter")
 	s := reg.Snapshot()
@@ -187,20 +165,21 @@ func TestExemplarRetentionOrderIndependent(t *testing.T) {
 	// Two tracers see the same closed traces in different orders; the
 	// retained slowest-N sets must be identical.
 	mk := func(perm []int) []Exemplar {
-		tr := NewTracer(nil, TracerConfig{Seed: 9, SampleN: 1, ExemplarCap: 8})
+		tr := NewTracer(nil, 9)
 		for _, i := range perm {
 			tc := tr.Mint("key-"+itoa(i), 0, 0)
 			tr.Close(tc, int64(i%13)*100) // duplicate e2e values exercise the ID tiebreak
 		}
 		return tr.Exemplars()
 	}
-	perm := make([]int, 64)
+	// Twice the cap, so retention must evict.
+	perm := make([]int, 2*exemplarCap)
 	for i := range perm {
 		perm[i] = i
 	}
 	base := mk(perm)
-	if len(base) != 8 {
-		t.Fatalf("retained %d exemplars, want cap 8", len(base))
+	if len(base) != exemplarCap {
+		t.Fatalf("retained %d exemplars, want cap %d", len(base), exemplarCap)
 	}
 	for i := 1; i < len(base); i++ {
 		a, b := base[i-1], base[i]
@@ -220,48 +199,6 @@ func TestExemplarRetentionOrderIndependent(t *testing.T) {
 				t.Fatalf("trial %d: exemplar %d differs: %v vs %v", trial, i, got[i].ID, base[i].ID)
 			}
 		}
-	}
-}
-
-func TestWindowedHistogram(t *testing.T) {
-	w := NewWindowedHistogram(LatencyBucketsMs, 1000, 3)
-	w.Observe(5, 100)   // window 0
-	w.Observe(7, 1500)  // window 1
-	w.Observe(9, 3500)  // window 3 -> evicts window 0
-	w.Observe(1, 200)   // window 0 again: behind horizon, dropped
-	w.Observe(11, 1600) // window 1 still retained
-	ws := w.Windows()
-	// Windows are sparse: only 1 and 3 ever saw an observation.
-	if len(ws) != 2 {
-		t.Fatalf("retained %d windows, want 2: %+v", len(ws), ws)
-	}
-	if ws[0].Index != 1 || ws[0].Hist.Count != 2 {
-		t.Fatalf("window[0] = %+v, want index 1 count 2", ws[0])
-	}
-	if ws[1].Index != 3 || ws[1].Hist.Count != 1 || ws[1].StartMs != 3000 {
-		t.Fatalf("window[1] = %+v, want index 3 count 1 start 3000", ws[1])
-	}
-	if w.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", w.Dropped())
-	}
-}
-
-func TestWindowedOrderIndependent(t *testing.T) {
-	type obsv struct{ v, at int64 }
-	obsvs := []obsv{{5, 100}, {7, 1500}, {9, 3500}, {11, 1600}, {2, 2100}}
-	mk := func(order []int) []WindowSnapshot {
-		w := NewWindowedHistogram(LatencyBucketsMs, 1000, 8)
-		for _, i := range order {
-			w.Observe(obsvs[i].v, obsvs[i].at)
-		}
-		return w.Windows()
-	}
-	base := mk([]int{0, 1, 2, 3, 4})
-	got := mk([]int{4, 3, 2, 1, 0})
-	bj, _ := json.Marshal(base)
-	gj, _ := json.Marshal(got)
-	if string(bj) != string(gj) {
-		t.Fatalf("window retention is order dependent:\n%s\nvs\n%s", bj, gj)
 	}
 }
 
@@ -302,18 +239,15 @@ func TestTracerNilSafety(t *testing.T) {
 	tc.Attempt(1, "ok", 0)
 	tc.StampServerNs(5)
 	tc.StampNetworkNs(5)
-	if tc.Sampled() {
-		t.Fatalf("nil ctx reports sampled")
-	}
 	tr.Close(tc, 10)
 	tr.Abort(tc, 10, "r")
-	if tr.Exemplars() != nil || tr.Windows() != nil || tr.E2E() != nil {
+	if tr.Exemplars() != nil || tr.E2E() != nil {
 		t.Fatalf("nil tracer leaked state")
 	}
 }
 
 func TestAttemptLogBounded(t *testing.T) {
-	tr := NewTracer(nil, TracerConfig{Seed: 1, SampleN: 1})
+	tr := NewTracer(nil, 1)
 	tc := tr.Mint("k", 0, 0)
 	for i := 0; i < maxAttemptLog+50; i++ {
 		tc.Attempt(int64(i), "err", 1)

@@ -23,7 +23,7 @@ func (s *flakySink) Deliver(ev Event, nowMs int64) error {
 
 func TestTraceLifecycleThroughRetries(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(reg, obs.TracerConfig{Seed: 1, SampleN: 1})
+	tr := obs.NewTracer(reg, 1)
 	sink := &flakySink{fails: 2}
 	p := NewPipeline(sink, WithTracer(tr), WithJitterFrac(0), WithSeed(1))
 
@@ -65,7 +65,7 @@ func TestTraceLifecycleThroughRetries(t *testing.T) {
 
 func TestTraceAbortOnDeadLetter(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(reg, obs.TracerConfig{Seed: 1, SampleN: 1})
+	tr := obs.NewTracer(reg, 1)
 	sink := &flakySink{fails: 1 << 30} // never succeeds
 	p := NewPipeline(sink, WithTracer(tr), WithMaxAttempts(3), WithJitterFrac(0))
 
@@ -86,7 +86,7 @@ func TestTraceAbortOnDeadLetter(t *testing.T) {
 }
 
 func TestTraceBreakerHoldStamped(t *testing.T) {
-	tr := obs.NewTracer(nil, obs.TracerConfig{Seed: 1, SampleN: 1})
+	tr := obs.NewTracer(nil, 1)
 	// Threshold 1: the first failure trips the breaker; a second event
 	// then gets held without burning attempts.
 	sink := &flakySink{fails: 1}
@@ -114,7 +114,7 @@ func TestTraceBreakerHoldStamped(t *testing.T) {
 
 func TestTraceOverflowAborted(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(reg, obs.TracerConfig{Seed: 1, SampleN: 1})
+	tr := obs.NewTracer(reg, 1)
 	sink := &flakySink{fails: 1 << 30}
 	p := NewPipeline(sink, WithTracer(tr), WithQueueCap(1))
 
@@ -141,7 +141,7 @@ func TestTraceOverflowAborted(t *testing.T) {
 func TestTracedSnapshotDeterministic(t *testing.T) {
 	run := func() []byte {
 		reg := obs.NewRegistry()
-		tr := obs.NewTracer(reg, obs.TracerConfig{Seed: 99, SampleN: 4})
+		tr := obs.NewTracer(reg, 99)
 		sink := &flakySink{fails: 7}
 		p := NewPipeline(sink, WithTracer(tr), WithSeed(99), WithBreakerThreshold(3))
 		for i := 0; i < 200; i++ {

@@ -87,8 +87,8 @@ func (r ChaosCampaignResult) ExactlyOnce() bool {
 // events settle before the result is assembled.
 //
 // Cancelling ctx stops the campaign between sessions and inside each
-// session's event loop, returning ctx.Err() with whatever was
-// aggregated so far discarded.
+// session's event loop, returning ctx.Err() with the sessions played
+// before the cancel aggregated.
 func RunChaos(ctx context.Context, pkg *apk.Package, surf Surface, opts ChaosOptions) (ChaosCampaignResult, error) {
 	if opts.Sessions == 0 {
 		opts.Sessions = 20
@@ -115,16 +115,13 @@ func RunChaos(ctx context.Context, pkg *apk.Package, surf Surface, opts ChaosOpt
 	cPanics := reg.Counter("chaos_panics_total")
 	cRejects := reg.Counter("chaos_install_rejects_total")
 
-	out := ChaosCampaignResult{
-		CampaignResult: CampaignResult{Sessions: opts.Sessions, MinMs: 1 << 62},
-		Profile:        opts.Profile.Name,
-		Obs:            reg,
-	}
+	out := ChaosCampaignResult{Profile: opts.Profile.Name, Obs: reg}
+	t := tally{out: CampaignResult{Sessions: opts.Sessions}}
 	submitted := make(map[string]bool)
-	var sum int64
 
 	for i := 0; i < opts.Sessions; i++ {
 		if err := ctx.Err(); err != nil {
+			out.CampaignResult = t.result()
 			return out, err
 		}
 		base := int64(i) * opts.CapMs
@@ -144,20 +141,7 @@ func RunChaos(ctx context.Context, pkg *apk.Package, surf Surface, opts ChaosOpt
 			cRejects.Inc()
 			continue
 		}
-
-		if sr.Triggered {
-			out.Successes++
-			sum += sr.TimeToFirstMs
-			if sr.TimeToFirstMs < out.MinMs {
-				out.MinMs = sr.TimeToFirstMs
-			}
-			if sr.TimeToFirstMs > out.MaxMs {
-				out.MaxMs = sr.TimeToFirstMs
-			}
-		}
-		if sr.AbnormalExit || len(sr.Responses) > 0 {
-			out.Complaints++
-		}
+		t.add(sr)
 
 		// Detections leave the device over the faulted channel: each
 		// RespReport becomes a detection event, possibly duplicated,
@@ -172,7 +156,6 @@ func RunChaos(ctx context.Context, pkg *apk.Package, surf Surface, opts ChaosOpt
 			if r.Kind != vm.RespReport {
 				continue
 			}
-			out.Reports++
 			detMs := base + (r.TimeMillis - sr.StartClockMs)
 			ev := report.Event{App: pkg.Name, Bomb: r.BombID, User: user, TimeMs: detMs, Info: r.Info}
 			if inj.Hit(opts.Profile.DelayEvent, "event-delay") {
@@ -201,11 +184,7 @@ func RunChaos(ctx context.Context, pkg *apk.Package, surf Surface, opts ChaosOpt
 	endMs := int64(opts.Sessions) * opts.CapMs
 	pipe.Flush(endMs, endMs+10*60_000)
 
-	if out.Successes > 0 {
-		out.AvgMs = sum / int64(out.Successes)
-	} else {
-		out.MinMs = 0
-	}
+	out.CampaignResult = t.result()
 	out.Faults = inj.Counts()
 	for kind, n := range out.Faults {
 		reg.Counter(obs.L("chaos_fault_injections_total", "kind", kind)).Add(int64(n))

@@ -237,22 +237,42 @@ type CampaignResult struct {
 	Complaints int
 }
 
-// NoFirstTrigger is the MinMs accumulator sentinel used while a
-// campaign has zero successes. It never escapes: Run
-// normalizes MinMs to 0 on every return path (including errors) when
-// Successes == 0, so a CampaignResult in the wild satisfies the
-// invariant Successes == 0 => MinMs == MaxMs == AvgMs == 0. Consumers
-// defending against future aggregation paths can still compare
-// against it.
-const NoFirstTrigger int64 = 1 << 62
+// tally aggregates session outcomes into a CampaignResult. Run and
+// RunChaos both feed it in session order and take every result they
+// return, partial or whole, from result(), so each one satisfies
+// Successes == 0 => MinMs == MaxMs == AvgMs == 0.
+type tally struct {
+	out CampaignResult
+	sum int64
+}
 
-// normalize enforces the zero-successes invariant on a result whose
-// MinMs may still hold the accumulator sentinel.
-func (c CampaignResult) normalize() CampaignResult {
-	if c.Successes == 0 || c.MinMs >= NoFirstTrigger {
-		c.MinMs = 0
+// add folds one played session into the aggregate.
+func (t *tally) add(sr SessionResult) {
+	if sr.Triggered {
+		t.out.Successes++
+		t.sum += sr.TimeToFirstMs
+		if t.out.Successes == 1 || sr.TimeToFirstMs < t.out.MinMs {
+			t.out.MinMs = sr.TimeToFirstMs
+		}
+		t.out.MaxMs = max(t.out.MaxMs, sr.TimeToFirstMs)
 	}
-	return c
+	for _, r := range sr.Responses {
+		if r.Kind == vm.RespReport {
+			t.out.Reports++
+		}
+	}
+	if sr.AbnormalExit || len(sr.Responses) > 0 {
+		t.out.Complaints++
+	}
+}
+
+// result returns the aggregate of the sessions added so far.
+func (t *tally) result() CampaignResult {
+	out := t.out
+	if out.Successes > 0 {
+		out.AvgMs = t.sum / int64(out.Successes)
+	}
+	return out
 }
 
 // CampaignOptions configures a population campaign for Run.
@@ -343,42 +363,19 @@ func Run(ctx context.Context, pkg *apk.Package, surf Surface, opts CampaignOptio
 		}
 		wg.Wait()
 	}
+	t := tally{out: CampaignResult{Sessions: n}}
 	if err := ctx.Err(); err != nil {
 		// Workers stopped claiming; unclaimed sessions never ran, so the
 		// aggregate would undercount silently. Report the cancellation.
-		return CampaignResult{Sessions: n}.normalize(), err
+		return t.result(), err
 	}
-
-	out := CampaignResult{Sessions: n, MinMs: NoFirstTrigger}
-	var sum int64
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			// Mirror the serial engine: report the lowest-index error
 			// with the sessions before it aggregated.
-			return out.normalize(), errs[i]
+			return t.result(), errs[i]
 		}
-		sr := srs[i]
-		if sr.Triggered {
-			out.Successes++
-			sum += sr.TimeToFirstMs
-			if sr.TimeToFirstMs < out.MinMs {
-				out.MinMs = sr.TimeToFirstMs
-			}
-			if sr.TimeToFirstMs > out.MaxMs {
-				out.MaxMs = sr.TimeToFirstMs
-			}
-		}
-		for _, r := range sr.Responses {
-			if r.Kind == vm.RespReport {
-				out.Reports++
-			}
-		}
-		if sr.AbnormalExit || len(sr.Responses) > 0 {
-			out.Complaints++
-		}
-	}
-	if out.Successes > 0 {
-		out.AvgMs = sum / int64(out.Successes)
+		t.add(srs[i])
 	}
 	if reg != nil {
 		// Wall-clock throughput is scheduler-dependent by nature, so it
@@ -390,5 +387,5 @@ func Run(ctx context.Context, pkg *apk.Package, surf Surface, opts CampaignOptio
 			reg.Gauge("sim_sessions_per_sec", obs.Volatile()).Set(int64(n) * 1000 / wallMs)
 		}
 	}
-	return out.normalize(), nil
+	return t.result(), nil
 }

@@ -169,14 +169,19 @@ func TestCampaignCancellation(t *testing.T) {
 }
 
 // TestChaosCampaignCancellation pins the same contract for the
-// fault-injected campaign runner.
+// fault-injected campaign runner, and that a result cancelled before
+// any success keeps the zero-successes invariant Run keeps.
 func TestChaosCampaignCancellation(t *testing.T) {
 	_, pirated, surf, _ := prepared(t, 217)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunChaos(ctx, pirated, surf, ChaosOptions{Sessions: 6, Seed: 9})
+	res, err := RunChaos(ctx, pirated, surf, ChaosOptions{Sessions: 6, Seed: 9})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Successes != 0 || res.MinMs != 0 || res.MaxMs != 0 || res.AvgMs != 0 {
+		t.Errorf("cancelled before any session: successes=%d min/max/avg = %d/%d/%d, want all 0",
+			res.Successes, res.MinMs, res.MaxMs, res.AvgMs)
 	}
 }
 

@@ -8,8 +8,8 @@
 # Sign+Pack benchmark, vet and short tests of the cmd/benchrun module,
 # and 20s fuzzes of the dex decoder, the quickened interpreter, the apk
 # archive reader and writer, the similarity index, the Event JSON
-# codec, the report-body decoder, the checkpoint decoder and the WAL
-# segment framing. Tier-1 (ROADMAP.md) is `go build ./... &&
+# codec, the report-body decoder, the checkpoint decoder, the WAL
+# segment framing and the fingerprint WAL record decoder. Tier-1 (ROADMAP.md) is `go build ./... &&
 # go test ./...`; this script is the stricter gate on top of it. The
 # end-to-end CLI and market proofs (batch protection and cancellation,
 # daemon SIGTERM/SIGKILL recovery, timelines, fingerprints, the
@@ -145,5 +145,13 @@ echo "==> fuzz: WAL segment framing vs a reference parse (20s)"
 # one: the records up to the first bad one, then a truncated torn tail
 # or an error; no declared length sizes an allocation past the file.
 go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 20s ./internal/market
+
+echo "==> fuzz: fingerprint WAL record, decode/re-encode round trip (20s)"
+# Any tag-prefixed record is refused or decodes to a fingerprint whose
+# record decodes back to it; a canonical fingerprint within the entry
+# cap round-trips exactly. Seeded with a record a store wrote. Without
+# a cap, minimizing one new input stalled a 70s run for up to 25s, so
+# each minimization caps at 2s.
+go test -run '^$' -fuzz '^FuzzDecodeFingerprint$' -fuzztime 20s -fuzzminimizetime 2s ./internal/market
 
 echo "verify: OK"
