@@ -136,13 +136,12 @@ func BenchmarkInvokeRef(b *testing.B) {
 }
 
 // BenchmarkInvokeObs is the same loop with the obs layer attached:
-// per-opcode counting on every instruction plus the per-invoke
-// counter and steps histogram, all buffered VM-locally and published
-// on FlushObs — no atomics anywhere on the Invoke path.
-// BenchmarkInvoke itself (obs off) must stay flat, because the off
-// path is a hoisted nil check per instruction. The remaining cost is
-// about 1ns per executed instruction: the per-opcode increment is the
-// instrumentation itself.
+// per-opcode counts, tallied once per straight-line run by the
+// quickened loop's slow run head, plus the per-invoke counter and
+// steps histogram, all buffered VM-locally and published on FlushObs —
+// no atomics and no allocations on the Invoke path. BenchmarkInvoke
+// itself (obs off) must stay flat: with obs off the run head is the
+// same single compare, against a per-VM limit.
 func BenchmarkInvokeObs(b *testing.B) {
 	app, pkg, _ := benchApp(b)
 	reg := obs.NewRegistry()

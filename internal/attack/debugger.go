@@ -55,13 +55,9 @@ func Debugger(pkg *apk.Package, domain int64, durationMs int64, seed int64) (Deb
 		}
 	}
 	v.Observe(func(call vm.APICall) {
-		switch call.API {
-		case dex.APICrash, dex.APIWarnUser, dex.APILeakMemory,
-			dex.APISpinLoop, dex.APIReportPiracy, dex.APIDelayBomb:
-			if call.InPayload != "" {
-				res.Symptoms++
-				locate()
-			}
+		if symptom(call) {
+			res.Symptoms++
+			locate()
 		}
 	})
 
@@ -70,4 +66,15 @@ func Debugger(pkg *apk.Package, domain int64, durationMs int64, seed int64) (Deb
 	})
 	res.FuzzedMinutes = r.VirtualMillis / 60_000
 	return res, nil
+}
+
+// symptom reports whether call is a detection response made by payload
+// code: what the debugger stops on.
+func symptom(call vm.APICall) bool {
+	switch call.API {
+	case dex.APICrash, dex.APIWarnUser, dex.APILeakMemory,
+		dex.APISpinLoop, dex.APIReportPiracy, dex.APIDelayBomb:
+		return call.InPayload != ""
+	}
+	return false
 }

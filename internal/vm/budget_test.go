@@ -34,7 +34,7 @@ func pkgCase(t *testing.T, name string, pkg *apk.Package, method string, args []
 }
 
 // vm builds the scenario's VM under maxSteps, on the reference or the
-// quickened interpreter, watched or bare.
+// quickened interpreter, instrumented as way says.
 func (c *sweepCase) vm(maxSteps int64, ref bool, way instrumentation) *VM {
 	o := c.opts
 	o.MaxSteps, o.Reference, o.TraceDepth = maxSteps, ref, way.traceDepth
@@ -65,7 +65,7 @@ func sweepBudgets(steps int64, dense int64) []int64 {
 	return out
 }
 
-// sweep runs c under every budget of sweepBudgets, bare and watched,
+// sweep runs c under every budget of sweepBudgets, each of allWays,
 // on both interpreters and asserts the diff-pair contract after each.
 func (c *sweepCase) sweep(t *testing.T, dense int64) {
 	t.Helper()
@@ -80,7 +80,7 @@ func (c *sweepCase) sweep(t *testing.T, dense int64) {
 		}
 	}()
 	for _, budget = range sweepBudgets(ref.steps, dense) {
-		for _, way = range bothWays(32) {
+		for _, way = range allWays(32) {
 			p := &diffPair{q: c.vm(budget, false, way), r: c.vm(budget, true, way)}
 			p.invoke(t, c.method, c.args...)
 			p.finish(t)

@@ -49,9 +49,11 @@ func newDiffPair(t *testing.T, pkg *apk.Package, opts Options, withObs bool) *di
 	return &diffPair{q: build(false), r: build(true)}
 }
 
-// instrumentation is one way of watching a diff pair. The quickened
-// loop specializes on both knobs, so scenarios run each way: watched
-// (an obs registry and a trace ring) and bare (neither), which is how
+// instrumentation is one way of watching a diff pair. Scenarios run
+// three ways: watched (an obs registry and a trace ring), which sends
+// the quickened VM to the reference interpreter as the debugger's VM
+// is; obs only, which runs the quickened loop's tallying head as
+// instrumented campaigns do; and bare (neither), which is how plain
 // campaign sessions, fuzz.Profile and the benchmark run.
 type instrumentation struct {
 	name       string
@@ -59,9 +61,10 @@ type instrumentation struct {
 	traceDepth int
 }
 
-// bothWays is the watched configuration at traceDepth, then the bare one.
-func bothWays(traceDepth int) []instrumentation {
-	return []instrumentation{{"watched", true, traceDepth}, {"bare", false, 0}}
+// allWays is the watched configuration at traceDepth, then the obs-only
+// and the bare ones.
+func allWays(traceDepth int) []instrumentation {
+	return []instrumentation{{"watched", true, traceDepth}, {"obs", true, 0}, {"bare", false, 0}}
 }
 
 // valueEq compares two dex.Values structurally. Arrays compare by
@@ -245,7 +248,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 	for _, app := range apps {
 		t.Run(app.Name, func(t *testing.T) {
-			for _, way := range bothWays(128) {
+			for _, way := range allWays(128) {
 				t.Run(way.name, func(t *testing.T) {
 					pkg := signApp(t, app.Name, app.File)
 					p := newDiffPair(t, pkg, Options{Seed: 11, Profile: true, TraceDepth: way.traceDepth}, way.obs)
@@ -288,7 +291,7 @@ func TestDifferentialPayload(t *testing.T) {
 			name = "repackaged"
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, way := range bothWays(256) {
+			for _, way := range allWays(256) {
 				t.Run(way.name, func(t *testing.T) {
 					diffPayload(t, f, repackaged, way)
 				})
@@ -379,8 +382,8 @@ func TestDifferentialPayloadFailClosed(t *testing.T) {
 }
 
 // TestDifferentialMalformed runs the malformed-input classes from the
-// fuzz suite on both paths: faults must match byte-for-byte, including
-// the contained-panic cases.
+// fuzz suite on both paths with obs on: faults and opcode tallies must
+// match byte-for-byte, including the contained-panic cases.
 func TestDifferentialMalformed(t *testing.T) {
 	cases := map[string]*dex.File{
 		"register out of range": badFile(1, []dex.Instr{
@@ -444,8 +447,10 @@ func TestDifferentialMalformed(t *testing.T) {
 		file := file
 		t.Run(name, func(t *testing.T) {
 			// Via fuzzVM: no validation, quickening over raw garbage.
-			vq := fuzzVM(file, Options{TraceDepth: 32})
-			vr := fuzzVM(file, Options{TraceDepth: 32, Reference: true})
+			// Obs is on, so the quickened VM tallies runs and an
+			// opcode past dex.NumOps panics at the reference step.
+			vq := fuzzVM(file, Options{Obs: obs.NewRegistry()})
+			vr := fuzzVM(file, Options{Obs: obs.NewRegistry(), Reference: true})
 			qres, qerr := vq.Invoke("Bad.m")
 			rres, rerr := vr.Invoke("Bad.m")
 			if errStr(qerr) != errStr(rerr) {
@@ -458,13 +463,9 @@ func TestDifferentialMalformed(t *testing.T) {
 				t.Fatalf("accounting diverges: steps %d/%d, ticks %d/%d",
 					vq.steps, vr.steps, vq.NowTicks(), vr.NowTicks())
 			}
-			qt, rt := vq.Trace(), vr.Trace()
-			if len(qt) != len(rt) {
-				t.Fatalf("trace lengths diverge: %d vs %d", len(qt), len(rt))
-			}
-			for i := range qt {
-				if qt[i] != rt[i] {
-					t.Fatalf("trace[%d] diverges: %+v vs %+v", i, qt[i], rt[i])
+			for op := range vq.obsOps {
+				if vq.obsOps[op] != vr.obsOps[op] {
+					t.Fatalf("obs op count for %s diverges: %d vs %d", dex.Op(op), vq.obsOps[op], vr.obsOps[op])
 				}
 			}
 		})
@@ -481,7 +482,7 @@ func TestDifferentialRandomCode(t *testing.T) {
 	const numFiles = 60
 	for fi := 0; fi < numFiles; fi++ {
 		file := randomFile(rng)
-		for _, way := range bothWays(64) {
+		for _, way := range allWays(64) {
 			diffRandomFile(t, fmt.Sprintf("file %d %s", fi, way.name), file, way)
 		}
 	}
@@ -694,7 +695,7 @@ func TestDifferentialProfileShadowedName(t *testing.T) {
 }
 
 // diffRandomFile runs one random file's Bad.m on both paths and
-// compares result, error, accounting, trace and, when watched, the obs
+// compares result, error, accounting, trace and, with obs on, the obs
 // opcode tallies.
 func diffRandomFile(t *testing.T, name string, file *dex.File, way instrumentation) {
 	t.Helper()
@@ -779,7 +780,7 @@ func buildEnvApp(t *testing.T) *dex.File {
 // that misreport the device, as chaos campaigns do.
 func TestDifferentialEnvReads(t *testing.T) {
 	pkg := signApp(t, "env.app", buildEnvApp(t))
-	for _, way := range bothWays(64) {
+	for _, way := range allWays(64) {
 		t.Run(way.name, func(t *testing.T) {
 			diffEnvReads(t, pkg, way)
 		})

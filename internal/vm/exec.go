@@ -54,8 +54,8 @@ func (v *VM) Invoke(full string, args ...dex.Value) (res dex.Value, err error) {
 // count cannot exhaust memory before validation would have caught it.
 const maxFrameRegs = 1 << 16
 
-// call executes one frame. inPayload carries the payload class name
-// when executing decrypted bomb code.
+// call executes one frame on the reference interpreter. inPayload
+// carries the payload class name when executing decrypted bomb code.
 func (v *VM) call(u *unit, inPayload string, m *dex.Method, args []dex.Value, depth int) (dex.Value, error) {
 	if depth > v.opts.MaxDepth {
 		return dex.Nil(), ErrDepth
@@ -78,7 +78,13 @@ func (v *VM) call(u *unit, inPayload string, m *dex.Method, args []dex.Value, de
 	regs := v.getRegs(m.NumRegs)
 	defer v.putRegs(regs)
 	copy(regs, args)
+	return v.exec(u, inPayload, m, regs, depth, 0)
+}
 
+// exec runs m's code over the frame regs from pc on, one instruction at
+// a time: the reference dispatch loop. The quickened loop also hands it
+// the rest of a frame once the budget no longer covers the next run.
+func (v *VM) exec(u *unit, inPayload string, m *dex.Method, regs []dex.Value, depth int, pc int) (dex.Value, error) {
 	fault := func(pc int, format string, a ...any) error {
 		return &RuntimeError{Method: m.FullName(), PC: pc, Reason: fmt.Sprintf(format, a...)}
 	}
@@ -89,7 +95,6 @@ func (v *VM) call(u *unit, inPayload string, m *dex.Method, args []dex.Value, de
 		return val.Int, nil
 	}
 
-	pc := 0
 	code := m.Code
 	for {
 		if pc < 0 || pc >= len(code) {

@@ -6,6 +6,7 @@ import (
 	"bombdroid/internal/android"
 	"bombdroid/internal/apk"
 	"bombdroid/internal/dex"
+	"bombdroid/internal/obs"
 )
 
 // fuzzVM assembles a VM around file WITHOUT install-time validation —
@@ -26,18 +27,29 @@ func fuzzVM(file *dex.File, opts Options) *VM {
 	return newVM(buildImage(file), &apk.Package{Name: "fuzz"}, android.EmulatorLab(1)[0], opts)
 }
 
-// runAllMethods drives every method with zero-value arguments; the
-// assertion is simply that nothing panics — faults must surface as
-// returned errors.
-func runAllMethods(file *dex.File, opts Options) {
-	v := fuzzVM(file, opts)
+// diffAllMethods drives every method with zero-value arguments on a
+// quickened/reference pair over file, each side with its own obs
+// registry when withObs is set, and asserts the diff-pair contract
+// after each Invoke and at the end. Nothing may panic: faults must
+// surface as returned errors.
+func diffAllMethods(t *testing.T, file *dex.File, opts Options, withObs bool) {
+	t.Helper()
+	build := func(ref bool) *VM {
+		o := opts
+		o.Reference = ref
+		if withObs {
+			o.Obs = obs.NewRegistry()
+		}
+		return fuzzVM(file, o)
+	}
+	p := &diffPair{q: build(false), r: build(true)}
 	for _, m := range file.Methods() {
 		if m.NumArgs < 0 || m.NumArgs > 8 {
 			continue
 		}
-		args := make([]dex.Value, m.NumArgs)
-		_, _ = v.Invoke(m.FullName(), args...)
+		p.invoke(t, m.FullName(), make([]dex.Value, m.NumArgs)...)
 	}
+	p.finish(t)
 }
 
 // badFile builds a file with one method of raw (unvalidated) code.
@@ -104,8 +116,10 @@ func TestExecMalformedNoPanic(t *testing.T) {
 }
 
 // FuzzExec: whatever decodes must execute without panicking, with or
-// without validation having been run first. Faults in the bytecode
-// surface as errors; the fuzzer asserts totality, not semantics.
+// without validation having been run first, and the quickened loop
+// must agree with the reference interpreter on it. Each file runs bare
+// and with obs, with and without FailClosed, and each pair compares
+// errors, results, steps, ticks, statics and obs opcode counts.
 func FuzzExec(f *testing.F) {
 	f.Add(dex.Encode(dex.NewFile()))
 	good := dex.NewFile()
@@ -141,7 +155,10 @@ func FuzzExec(f *testing.F) {
 			return
 		}
 		// Deliberately skip dex.Validate: exec must be total anyway.
-		runAllMethods(file, Options{})
-		runAllMethods(file, Options{FailClosed: true})
+		for _, failClosed := range []bool{false, true} {
+			for _, withObs := range []bool{false, true} {
+				diffAllMethods(t, file, Options{FailClosed: failClosed}, withObs)
+			}
+		}
 	})
 }

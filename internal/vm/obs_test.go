@@ -5,6 +5,7 @@ import (
 
 	"bombdroid/internal/android"
 	"bombdroid/internal/apk"
+	"bombdroid/internal/appgen"
 	"bombdroid/internal/dex"
 	"bombdroid/internal/obs"
 )
@@ -119,5 +120,36 @@ func TestObsDeterministicAcrossRuns(t *testing.T) {
 	a, b := run(), run()
 	if string(a) != string(b) {
 		t.Fatalf("VM metrics not deterministic:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestObsInvokeAllocFree pins where an obs VM runs: on the quickened
+// loop, whose Invoke allocates nothing, and not on the reference
+// interpreter, whose frames allocate their fault closures. The app and
+// handler are BenchmarkInvokeObs's.
+func TestObsInvokeAllocFree(t *testing.T) {
+	app, err := appgen.Generate(appgen.Config{Name: "bench", Seed: 77, TargetLOC: 2000, QCPerMethod: 1.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := signApp(t, "bench", app.File)
+	allocs := func(ref bool) float64 {
+		v, err := New(pkg, android.EmulatorLab(1)[0], Options{Seed: 1, Obs: obs.NewRegistry(), Reference: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := v.Handlers()[0]
+		x, y := dex.Int64(3), dex.Int64(app.Config.ParamDomain/2)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := v.Invoke(h, x, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := allocs(false); n != 0 {
+		t.Errorf("obs VM Invoke: %v allocs, want 0", n)
+	}
+	if n := allocs(true); n == 0 {
+		t.Errorf("reference obs VM Invoke: 0 allocs; the check cannot tell the interpreters apart")
 	}
 }

@@ -72,27 +72,6 @@ func typeFault(qm *qmethod, pc int, k dex.ValueKind) error {
 		Reason: fmt.Sprintf("expected int, got %s", k)}
 }
 
-// watchStep finishes charging one instruction once the loop has
-// counted its step and tick: the budget check, then obs and trace under
-// the instruction's pc and source opcode (for the second half of a
-// fused pair, its own pc+1 and opcode). The loop calls it only past
-// its step limit, that is when the budget is spent or the VM is
-// watched. Ordering matters for byte-identical budget exhaustion: a
-// fused pair split by MaxSteps must fail at the same step with the same
-// ledger state as two plain dispatches.
-func (v *VM) watchStep(qm *qmethod, pc int, op dex.Op, inPayload string) error {
-	if v.steps > v.opts.MaxSteps {
-		return ErrBudget
-	}
-	if v.obsOps != nil {
-		v.obsOps[op]++
-	}
-	if v.trace != nil {
-		v.recordTrace(qm.full, pc, op, inPayload)
-	}
-	return nil
-}
-
 // envRead runs the call half of a fused env read (qEnvInt, qEnvStr).
 // With nothing watching the call it makes the read by catalog index
 // that dispatch would make by name, after the same clock charge;
@@ -202,11 +181,15 @@ func qcond(qm *qmethod, pc int, op dex.Op, regs []dex.Value, a, b int32) (bool, 
 // counterpart of call() in exec.go and must stay observationally
 // byte-identical to it — results, error strings, step counts, clock
 // ticks, obs tallies, trace entries — a contract enforced by the
-// differential harness. Registers come from the per-VM frame arena;
-// register indices are used unchecked just like the reference loop, so
-// out-of-range registers in unvalidated code fault via the contained
-// panic in Invoke, with identical messages.
+// differential harness. Registers come from the per-VM frame arena.
+// Two kinds of frame run on call() instead: every frame of a traced VM,
+// since the trace wants each instruction, and a perInstr method, which
+// may panic in the middle of a run, where a contained panic must see
+// the reference step count.
 func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, depth int) (dex.Value, error) {
+	if qm.perInstr || v.trace != nil {
+		return v.call(u, inPayload, qm.m, args, depth)
+	}
 	if depth > v.opts.MaxDepth {
 		return dex.Nil(), ErrDepth
 	}
@@ -229,439 +212,23 @@ func (v *VM) qcall(u *unit, inPayload string, qm *qmethod, args []dex.Value, dep
 	mk := v.arena.mark()
 	regs := v.arena.get(m.NumRegs)
 	copy(regs, args)
-	var res dex.Value
-	var err error
-	if qm.perInstr || v.obsOps != nil || v.trace != nil {
-		res, err = v.qrun(u, inPayload, qm, regs, depth, 0)
-	} else {
-		res, err = v.qrunBlocks(u, inPayload, qm, regs, depth)
-	}
+	res, err := v.qrunBlocks(u, inPayload, qm, regs, depth)
 	v.arena.release(mk)
 	return res, err
 }
 
-// qrun is the per-instruction dispatch loop over one frame's
-// registers, from pc on. It runs watched VMs, methods that name
-// registers outside their frame, and whatever is left of a frame once
-// the budget no longer covers a run (qrunBlocks hands it over).
-func (v *VM) qrun(u *unit, inPayload string, qm *qmethod, regs []dex.Value, depth int, pc int) (dex.Value, error) {
-	code := qm.code
-	// limit is the step count past which an instruction leaves the fast
-	// path for watchStep: the budget when the VM is unwatched, and -1
-	// (every step) when obs or trace must see each instruction. Both are
-	// fixed at VM construction, so the common prologue is two increments
-	// and one compare.
-	limit := v.opts.MaxSteps
-	if v.obsOps != nil || v.trace != nil {
-		limit = -1
-	}
-	for {
-		in := &code[pc]
-		v.steps++
-		v.clock++
-		if v.steps > limit && in.op >= qFirstReal {
-			if err := v.watchStep(qm, pc, in.srcOp, inPayload); err != nil {
-				return dex.Nil(), err
-			}
-		}
-		switch in.op {
-		case qEnd, qTrap:
-			// qEnd (control fell off the end) or qTrap (a branch whose
-			// encoded target was out of range; imm holds the original
-			// target). Both reproduce the reference bounds-check fault
-			// and, like it, charge nothing: the prologue's step and
-			// tick are taken back, and it skipped watchStep.
-			v.steps--
-			v.clock--
-			at := pc
-			if in.op == qTrap {
-				at = int(in.imm)
-			}
-			return dex.Nil(), qfault(qm, at, "control fell outside the method")
-
-		case qNop:
-
-		case qConstInt:
-			regs[in.a] = dex.Int64(in.imm)
-
-		case qConstStr:
-			regs[in.a] = u.q.strs[in.imm]
-
-		case qMove:
-			regs[in.a] = regs[in.b]
-
-		case qArith:
-			if r, ok := intArith(in.srcOp, regs, in.b, in.c); ok {
-				regs[in.a] = dex.Int64(r)
-			} else if err := qarith(qm, pc, in.srcOp, regs, in.a, in.b, in.c); err != nil {
-				return dex.Nil(), err
-			}
-
-		case qNeg:
-			x := regs[in.b]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			regs[in.a] = dex.Int64(-x.Int)
-
-		case qNot:
-			x := regs[in.b]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			regs[in.a] = dex.Int64(^x.Int)
-
-		case qAddK:
-			x := regs[in.b]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			regs[in.a] = dex.Int64(x.Int + in.imm)
-
-		case qIfEq:
-			if regs[in.a].Equal(regs[in.b]) {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfNe:
-			if !regs[in.a].Equal(regs[in.b]) {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfLt:
-			x := &regs[in.a]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			y := &regs[in.b]
-			if y.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, y.Kind)
-			}
-			if x.Int < y.Int {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfLe:
-			x := &regs[in.a]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			y := &regs[in.b]
-			if y.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, y.Kind)
-			}
-			if x.Int <= y.Int {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfGt:
-			x := &regs[in.a]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			y := &regs[in.b]
-			if y.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, y.Kind)
-			}
-			if x.Int > y.Int {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfGe:
-			x := &regs[in.a]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			y := &regs[in.b]
-			if y.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, y.Kind)
-			}
-			if x.Int >= y.Int {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfEqz:
-			if !regs[in.a].Truthy() {
-				pc = int(in.c)
-				continue
-			}
-
-		case qIfNez:
-			if regs[in.a].Truthy() {
-				pc = int(in.c)
-				continue
-			}
-
-		case qGoto:
-			pc = int(in.c)
-			continue
-
-		case qSwitch:
-			x := regs[in.a]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			t := &qm.tables[in.imm]
-			lo, hi := 0, len(t.matches)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if t.matches[mid] < x.Int {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			tg := t.def
-			if lo < len(t.matches) && t.matches[lo] == x.Int {
-				tg = t.targets[lo]
-			}
-			pc = int(tg)
-			continue
-
-		case qSwitchMissing:
-			x := regs[in.a]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			return dex.Nil(), qfault(qm, pc, "switch table %d missing", in.imm)
-
-		case qInvoke:
-			tg := &u.q.targets[in.imm]
-			res, err := v.qcall(tg.u, inPayload, tg.qm, regs[in.b:int(in.b)+int(in.c)], depth+1)
-			if err != nil {
-				return dex.Nil(), err
-			}
-			if in.a != -1 {
-				regs[in.a] = res
-			}
-
-		case qInvokeUnresolved:
-			return dex.Nil(), qfault(qm, pc, "unresolved invoke %q", u.file.Str(in.imm))
-
-		case qInvokeBadWindow, qCallAPIBadWindow:
-			return dex.Nil(), qfault(qm, pc, "arg window [%d,%d) outside %d registers",
-				in.b, int(in.b)+int(in.c), len(regs))
-
-		case qCallAPINop:
-			// Nothing can see the call, so its whole effect is the
-			// clock charge and the nil result. Hooks or observers
-			// installed since quickening take the full path below.
-			if len(v.hooks) == 0 && len(v.observers) == 0 {
-				v.clock += dex.API(in.imm).Cost()
-				if in.a != -1 {
-					regs[in.a] = dex.Value{}
-				}
-				break
-			}
-			fallthrough
-
-		case qCallAPI:
-			res, err := v.callAPI(u, inPayload, qm.full, dex.API(in.imm), regs[in.b:int(in.b)+int(in.c)], depth)
-			if err != nil {
-				return dex.Nil(), err
-			}
-			if in.a != -1 {
-				regs[in.a] = res
-			}
-
-		case qReturn:
-			return regs[in.a], nil
-
-		case qReturnVoid:
-			return dex.Nil(), nil
-
-		case qGetStatic:
-			regs[in.a] = v.staticVals[in.imm]
-
-		case qPutStatic:
-			v.staticVals[in.imm] = regs[in.a]
-
-		case qPutStaticNew:
-			v.staticVals[in.imm] = regs[in.a]
-			v.staticSet[in.imm] = true
-
-		case qNewArr:
-			x := regs[in.b]
-			if x.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, x.Kind)
-			}
-			if x.Int < 0 || x.Int > 1<<20 {
-				return dex.Nil(), qfault(qm, pc, "bad array length %d", x.Int)
-			}
-			regs[in.a] = dex.NewArr(int(x.Int))
-
-		case qALoad:
-			arr := regs[in.b]
-			a := arr.Arr()
-			if a == nil {
-				return dex.Nil(), qfault(qm, pc, "aload on %s", arr.Kind)
-			}
-			iv := regs[in.c]
-			if iv.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, iv.Kind)
-			}
-			if iv.Int < 0 || int(iv.Int) >= len(*a) {
-				return dex.Nil(), qfault(qm, pc, "index %d out of bounds %d", iv.Int, len(*a))
-			}
-			regs[in.a] = (*a)[iv.Int]
-
-		case qAStore:
-			arr := regs[in.a]
-			a := arr.Arr()
-			if a == nil {
-				return dex.Nil(), qfault(qm, pc, "astore on %s", arr.Kind)
-			}
-			iv := regs[in.b]
-			if iv.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, iv.Kind)
-			}
-			if iv.Int < 0 || int(iv.Int) >= len(*a) {
-				return dex.Nil(), qfault(qm, pc, "index %d out of bounds %d", iv.Int, len(*a))
-			}
-			(*a)[iv.Int] = regs[in.c]
-
-		case qArrLen:
-			arr := regs[in.b]
-			a := arr.Arr()
-			if a == nil {
-				return dex.Nil(), qfault(qm, pc, "arr-len on %s", arr.Kind)
-			}
-			regs[in.a] = dex.Int64(int64(len(*a)))
-
-		case qBadOp:
-			return dex.Nil(), qfault(qm, pc, "invalid opcode %d", in.srcOp)
-
-		case qFuseConstArith:
-			regs[in.a] = dex.Int64(in.imm)
-			v.steps++
-			v.clock++
-			if v.steps > limit {
-				if err := v.watchStep(qm, pc+1, in.op2, inPayload); err != nil {
-					return dex.Nil(), err
-				}
-			}
-			if r, ok := intArith(in.op2, regs, in.b2, in.c2); ok {
-				regs[in.a2] = dex.Int64(r)
-			} else if err := qarith(qm, pc+1, in.op2, regs, in.a2, in.b2, in.c2); err != nil {
-				return dex.Nil(), err
-			}
-			pc += 2
-			continue
-
-		case qFuseConstIf:
-			regs[in.a] = dex.Int64(in.imm)
-			v.steps++
-			v.clock++
-			if v.steps > limit {
-				if err := v.watchStep(qm, pc+1, in.op2, inPayload); err != nil {
-					return dex.Nil(), err
-				}
-			}
-			taken, err := qcond(qm, pc+1, in.op2, regs, in.a2, in.b2)
-			if err != nil {
-				return dex.Nil(), err
-			}
-			if taken {
-				pc = int(in.c2)
-				continue
-			}
-			pc += 2
-			continue
-
-		case qFuseALoadArith:
-			arr := regs[in.b]
-			a := arr.Arr()
-			if a == nil {
-				return dex.Nil(), qfault(qm, pc, "aload on %s", arr.Kind)
-			}
-			iv := regs[in.c]
-			if iv.Kind != dex.KindInt {
-				return dex.Nil(), typeFault(qm, pc, iv.Kind)
-			}
-			if iv.Int < 0 || int(iv.Int) >= len(*a) {
-				return dex.Nil(), qfault(qm, pc, "index %d out of bounds %d", iv.Int, len(*a))
-			}
-			regs[in.a] = (*a)[iv.Int]
-			v.steps++
-			v.clock++
-			if v.steps > limit {
-				if err := v.watchStep(qm, pc+1, in.op2, inPayload); err != nil {
-					return dex.Nil(), err
-				}
-			}
-			if r, ok := intArith(in.op2, regs, in.b2, in.c2); ok {
-				regs[in.a2] = dex.Int64(r)
-			} else if err := qarith(qm, pc+1, in.op2, regs, in.a2, in.b2, in.c2); err != nil {
-				return dex.Nil(), err
-			}
-			pc += 2
-			continue
-
-		case qFuseArithIf:
-			if r, ok := intArith(in.srcOp, regs, in.b, in.c); ok {
-				regs[in.a] = dex.Int64(r)
-			} else if err := qarith(qm, pc, in.srcOp, regs, in.a, in.b, in.c); err != nil {
-				return dex.Nil(), err
-			}
-			v.steps++
-			v.clock++
-			if v.steps > limit {
-				if err := v.watchStep(qm, pc+1, in.op2, inPayload); err != nil {
-					return dex.Nil(), err
-				}
-			}
-			taken, err := qcond(qm, pc+1, in.op2, regs, in.a2, in.b2)
-			if err != nil {
-				return dex.Nil(), err
-			}
-			if taken {
-				pc = int(in.c2)
-				continue
-			}
-			pc += 2
-			continue
-
-		case qEnvInt, qEnvStr:
-			regs[in.a] = u.q.strs[in.imm]
-			v.steps++
-			v.clock++
-			if v.steps > limit {
-				if err := v.watchStep(qm, pc+1, in.op2, inPayload); err != nil {
-					return dex.Nil(), err
-				}
-			}
-			res, err := v.envRead(u, inPayload, qm, in, regs, depth)
-			if err != nil {
-				return dex.Nil(), err
-			}
-			if in.a2 != -1 {
-				regs[in.a2] = res
-			}
-			pc += 2
-			continue
-
-		default:
-			return dex.Nil(), qfault(qm, pc, "invalid opcode %d", in.srcOp)
-		}
-		pc++
-	}
-}
-
-// qrunBlocks is the dispatch loop of an unwatched VM. It charges the
-// steps and ticks of a whole run (see markRuns) when it enters one: at
-// pc 0, at a branch target, after a call. The instructions inside a
-// run then dispatch with no prologue at all; only those that end a run
-// go back to the charging head. When the budget does not cover the next
-// run, it hands the rest of the frame to qrun, which fails at exactly
-// the reference step. A fault inside a run takes back the steps and
-// ticks of the instructions after it (the fault label). Its handlers
-// are qrun's, bar the prologue and the way each continues.
+// qrunBlocks is the quickened dispatch loop. It charges the steps and
+// ticks of a whole run (see markRuns) when it enters one: at pc 0, at a
+// branch target, after a call. The instructions inside a run then
+// dispatch with no prologue at all; only those that end a run go back
+// to the charging head. The head is one compare against v.runLimit,
+// which is the budget when obs is off; with obs on it always fails, and
+// the slow head tallies the run's source opcodes. When the budget does
+// not cover the next run, the slow head hands the rest of the frame to
+// the reference exec, which stops at exactly the reference step: a run
+// is straight-line up to its one terminal, so exec runs fewer than run
+// instructions. A fault inside a run takes back the steps, ticks and
+// tallies of the instructions after it (the fault label).
 func (v *VM) qrunBlocks(u *unit, inPayload string, qm *qmethod, regs []dex.Value, depth int) (dex.Value, error) {
 	pc := 0
 	code := qm.code
@@ -669,17 +236,23 @@ func (v *VM) qrunBlocks(u *unit, inPayload string, qm *qmethod, regs []dex.Value
 run:
 	for {
 		in := &code[pc]
-		if int64(in.run) > v.opts.MaxSteps-v.steps {
-			return v.qrun(u, inPayload, qm, regs, depth, pc)
+		if int64(in.run) > v.runLimit-v.steps {
+			if int64(in.run) > v.opts.MaxSteps-v.steps {
+				return v.exec(u, inPayload, qm.m, regs, depth, pc)
+			}
+			v.tallyRun(qm.m, pc, int(in.run), 1)
 		}
 		v.steps += int64(in.run)
 		v.clock += int64(in.run)
 		for {
 			switch in.op {
 			case qEnd, qTrap:
-				// The fault of qrun's case. Their run is 0: no run
-				// falls into qEnd, and a jump to either charges
-				// nothing, so there is nothing to take back.
+				// qEnd (control fell off the end) or qTrap (a branch
+				// whose encoded target was out of range; imm holds the
+				// original target) reproduce the reference bounds-check
+				// fault. Their run is 0: no run falls into qEnd, and a
+				// jump to either charges nothing, so there is nothing to
+				// take back.
 				at := pc
 				if in.op == qTrap {
 					at = int(in.imm)
@@ -890,7 +463,9 @@ run:
 				goto fault
 
 			case qCallAPINop:
-				// As in qrun: with nothing watching, only the cost.
+				// Nothing can see the call, so its whole effect is the
+				// clock charge and the nil result. Hooks or observers
+				// installed since quickening take the full path below.
 				if len(v.hooks) == 0 && len(v.observers) == 0 {
 					v.clock += dex.API(in.imm).Cost()
 					if in.a != -1 {
@@ -1075,11 +650,23 @@ run:
 	}
 
 fault:
-	if r := code[pc].run; r > 1 {
+	if r := int(code[pc].run); r > 1 {
 		// The run was charged whole: take back the instructions after
 		// pc that the fault kept from running.
 		v.steps -= int64(r - 1)
 		v.clock -= int64(r - 1)
+		if v.obsOps != nil {
+			v.tallyRun(qm.m, pc+1, r-1, -1)
+		}
 	}
 	return dex.Nil(), err
+}
+
+// tallyRun adds d to the obs counts of the n source opcodes from pc on;
+// quickened pcs are source pcs. qEnd and qTrap lie past the source and
+// have run 0, so the loop never indexes there.
+func (v *VM) tallyRun(m *dex.Method, pc, n int, d int64) {
+	for i := pc; i < pc+n; i++ {
+		v.obsOps[m.Code[i].Op] += d
+	}
 }

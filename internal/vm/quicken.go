@@ -39,8 +39,9 @@ import (
 //   - Superinstructions. The dominant dyads in the generated corpus
 //     (per the obs opcode counters: const-int feeding arithmetic or a
 //     compare-and-branch, aload feeding arithmetic, arithmetic feeding
-//     a compare-and-branch) fuse into single handlers that charge both
-//     halves' steps/ticks/obs/trace exactly as two dispatches would.
+//     a compare-and-branch) fuse into single handlers; the run that
+//     holds both halves charges their steps, ticks and obs counts, and
+//     a fault in the first half takes back the second's.
 //     Fusion never relocates code: the fused instruction lives at the
 //     first pc and the second pc keeps its plain form, so a jump into
 //     the middle of a pair executes the unfused second instruction —
@@ -61,9 +62,8 @@ const (
 	// qEnd sits at index len(code): control fell off the end of the
 	// method. qTrap replaces an out-of-range branch target; its imm
 	// holds the original target for the fault message. Both charge
-	// nothing, mirroring the reference loop's bounds check: the
-	// dispatch loop skips watchStep for them and takes back the
-	// prologue's step and tick.
+	// nothing, mirroring the reference loop's bounds check: their run
+	// is 0.
 	qEnd qop = iota
 	qTrap
 
@@ -117,16 +117,12 @@ const (
 	qEnvStr
 )
 
-// qFirstReal is the first qop that is charged a step, budget check,
-// obs count and trace entry; qEnd and qTrap sort before it.
-const qFirstReal = qNop
-
 // qinstr is one quickened instruction. srcOp keeps the original
-// opcode for obs accounting, trace entries, and as the operation
-// selector for qArith/qBadOp; op2 and the *2 operands carry the second
-// half of a fused pair. run is the number of steps from this
-// instruction through the end of its straight-line run (see
-// markRuns); it fills what was padding, so a qinstr stays 40 bytes.
+// opcode as the operation selector for qArith and the fault message of
+// qBadOp; op2 and the *2 operands carry the second half of a fused
+// pair. run is the number of steps from this instruction through the
+// end of its straight-line run (see markRuns); it fills what was
+// padding, so a qinstr stays 40 bytes.
 type qinstr struct {
 	op         qop
 	srcOp      dex.Op
@@ -149,13 +145,14 @@ type qtable struct {
 }
 
 // qmethod is one quickened method. full is the precomputed
-// "Class.Method" name reused by the profile, trace, RuntimeError, and
+// "Class.Method" name reused by the profile, RuntimeError, and
 // APICall paths, which otherwise re-format it per call. idx is the
 // method's slot in the VM's dense profile counters (VM.profDense) for
 // app-image methods, and -1 for payload methods, which count into the
-// profile map by name. perInstr sends the method to the per-instruction
-// loop even when the VM is unwatched: it names a register outside its
-// frame, so it may panic mid-run.
+// profile map by name. perInstr sends the method to the reference
+// interpreter: it names a register outside its frame, or has a source
+// opcode at or past dex.NumOps, which an obs tally would index with,
+// so it may panic mid-run.
 type qmethod struct {
 	m        *dex.Method
 	full     string
@@ -392,7 +389,7 @@ func markRuns(qm *qmethod, code []qinstr) {
 			in.run += next
 		}
 		next = in.run
-		if !regsInFrame(in, qm.m.NumRegs) {
+		if !regsInFrame(in, qm.m.NumRegs) || int(in.srcOp) >= dex.NumOps {
 			qm.perInstr = true
 		}
 	}

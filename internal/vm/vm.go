@@ -141,7 +141,9 @@ type Options struct {
 	Profile  bool  // count method invocations (Traceview)
 	// TraceDepth enables a ring buffer of the last N executed
 	// instructions — the debugger's view when tracing back from a
-	// suspicious symptom (paper §2.1, "Debugging").
+	// suspicious symptom (paper §2.1, "Debugging"). A traced VM runs
+	// every frame on the reference interpreter, which records each
+	// instruction; only the debugger attack and tests trace.
 	TraceDepth int
 	// FailClosed enables graceful degradation of the bomb lifecycle:
 	// a fault while decrypting or executing a payload (corrupted
@@ -247,6 +249,11 @@ type VM struct {
 
 	steps int64 // consumed within current top-level Invoke
 
+	// runLimit is the step count past which the quickened loop's run
+	// head leaves its one-compare fast path: MaxSteps when obs is off,
+	// and -1 (every run) when obs must tally each run's opcodes.
+	runLimit int64
+
 	// freeRegs is a free-list of frame register slices reused across
 	// call() frames. A VM is single-goroutine by contract (campaigns
 	// parallelize by building one VM per session), so no locking.
@@ -336,7 +343,9 @@ func newVM(img *image, p *apk.Package, dev *android.Device, opts Options) *VM {
 	if opts.TraceDepth > 0 {
 		v.trace = make([]TraceEntry, opts.TraceDepth)
 	}
+	v.runLimit = opts.MaxSteps
 	if opts.Obs != nil {
+		v.runLimit = -1
 		v.obsOps = make([]int64, dex.NumOps)
 		v.obsOpCtrs = make([]*obs.Counter, dex.NumOps)
 		for op := 0; op < dex.NumOps; op++ {

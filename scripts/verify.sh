@@ -41,9 +41,13 @@ echo "==> differential smoke: quickened vs reference interpreter"
 # The differential harness replays the corpus sample, the payload
 # suite, malformed files, and random code on both interpreter paths
 # and asserts byte-identical results, traces, fault ledgers, and obs
-# counters; corpus, payload and random code run both watched (obs +
-# trace) and bare (neither, as campaigns and the benchmark run). -count=1 defeats the test cache so the smoke always
-# re-executes.
+# counters. Corpus, payload, env-read, random code and the budget sweep
+# run three ways: watched (obs + trace, which sends the quickened VM to
+# the reference interpreter, as the debugger's VM is), obs only (the
+# quickened loop's per-run tallies, as instrumented campaigns run) and
+# bare (neither, as plain campaigns and the benchmark run); malformed
+# files run with obs on. -count=1 defeats the test cache so the smoke
+# always re-executes.
 go test -run 'TestDifferential' -count=1 ./internal/vm
 
 echo "==> engine byte identity and goldens at -cpu 1,2,4"
